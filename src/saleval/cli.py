@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -155,16 +156,9 @@ def _cmd_evaluate(args) -> int:
     tables = aggregate_scores(records, group_by="distortion")
     rankings = build_rankings(tables)
     config_echo = {
+        **dataclasses.asdict(config),
         "manifest": str(args.manifest),
         "master_seed": args.seed,
-        "trials": config.trials,
-        "bins": config.bins,
-        "epsilon": config.epsilon,
-        "emd_saturation": config.emd_saturation,
-        "blur_sweep": list(config.blur_sweep),
-        "metrics": list(config.metrics),
-        "sign_mode": config.sign_mode,
-        "sim_bins": config.sim_bins,
         "pixels_per_degree": manifest.pixels_per_degree,
         "rng": RNG_ALGORITHM,
         "seed_derivation": SEED_DERIVATION,
@@ -195,8 +189,7 @@ def _cmd_aggregate(args) -> int:
     path = out / f"aggregate_{args.group_by}.csv"
     _write_rows(path, rows)
     try:
-        axis = "levels" if args.group_by == "distortion" else None
-        if axis:
+        if args.group_by == "distortion":
             _write_rows(out / "normalized_std_levels.csv", normalized_std_table(records, "levels"))
             _write_rows(out / "normalized_std_types.csv", normalized_std_table(records, "types"))
     except ValueError:
@@ -208,10 +201,9 @@ def _cmd_aggregate(args) -> int:
 def _cmd_rank(args) -> int:
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    record_sets = [read_records(p) for p in args.records]
+    dataset_rows = [aggregate_scores(read_records(p), group_by="dataset") for p in args.records]
     per_dataset: list[dict[str, dict[str, float]]] = []
-    for records in record_sets:
-        rows = aggregate_scores(records, group_by="dataset")
+    for rows in dataset_rows:
         by_metric: dict[str, dict[str, float]] = {}
         for row in rows:
             by_metric.setdefault(row["metric"], {})[row["model"]] = row["mean_score"]
@@ -229,8 +221,7 @@ def _cmd_rank(args) -> int:
         row["kendalls_w"] = kendalls_w(rankings) if len(rankings) >= 2 else None
         kendall_rows.append(row)
     _write_rows(out / "kendall.csv", kendall_rows)
-    for i, records in enumerate(record_sets):
-        rows = aggregate_scores(records, group_by="dataset")
+    for i, rows in enumerate(dataset_rows):
         _write_rows(out / f"rankings_{i}.csv", build_rankings(rows, keys=()))
     print(f"wrote {out / 'kendall.csv'} ({len(kendall_rows)} metrics)")
     return 0

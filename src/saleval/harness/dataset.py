@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ManifestError
-from ..io import read_fixations, read_pgm, write_fixations, write_pgm
+from ..io import read_fixations, write_fixations, write_pgm
 from ..maps import (
     FixationSet,
     centered_gaussian_baseline,
@@ -88,9 +88,6 @@ class DatasetManifest:
     def map_path(self, model_id: str, image_id: str) -> Path:
         model = next(m for m in self.models if m.model_id == model_id)
         return self.root / model.maps[image_id]
-
-    def load_map(self, model_id: str, image_id: str) -> np.ndarray:
-        return read_pgm(self.map_path(model_id, image_id))
 
 
 def load_manifest(path) -> DatasetManifest:

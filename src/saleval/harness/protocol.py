@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from ..errors import DegenerateInputError
 from ..maps import FixationSet, density_from_fixations, gaussian_blur, normalize_map, resize_map
@@ -21,7 +22,6 @@ from .dataset import DatasetManifest, ImageEntry
 
 __all__ = [
     "ALL_METRICS",
-    "DENSITY_METRICS",
     "SHUFFLED_METRICS",
     "EvalConfig",
     "EvaluationRecord",
@@ -30,15 +30,56 @@ __all__ = [
     "optimal_blur_search",
 ]
 
+
+class _Metric(NamedTuple):
+    needs_g: bool  # scored against the ground-truth density map
+    score: Callable  # (map, fix, g, bank, plan, config) -> float
+
+
+# Entries look each kernel up by this module's global name at call time, never
+# store the function, so a kernel rebound on this module (by a tracer) still runs.
+_METRICS = {
+    "sauc": _Metric(False, lambda m, fix, g, bank, plan, c: sauc(m, fix, bank, plan).value),
+    "snss": _Metric(False, lambda m, fix, g, bank, plan, c: snss(m, fix, bank, plan).value),
+    "sskld": _Metric(
+        False,
+        lambda m, fix, g, bank, plan, c: sskld(
+            m, fix, bank, plan, c.bins, c.epsilon, c.sign_mode
+        ).value,
+    ),
+    "sjsd": _Metric(False, lambda m, fix, g, bank, plan, c: sjsd(m, fix, bank, plan, c.bins).value),
+    "semd": _Metric(
+        False,
+        lambda m, fix, g, bank, plan, c: semd(
+            m, fix, bank, plan, c.bins, GroundDistanceSpec(saturation=c.emd_saturation)
+        ).value,
+    ),
+    "cc": _Metric(True, lambda m, fix, g, bank, plan, c: cc(m, g)),
+    "sim": _Metric(True, lambda m, fix, g, bank, plan, c: sim(m, g)),
+    "nss": _Metric(False, lambda m, fix, g, bank, plan, c: nss(m, fix)),
+    "auc_f": _Metric(False, lambda m, fix, g, bank, plan, c: auc_f(m, fix, plan).value),
+    "auc_s": _Metric(True, lambda m, fix, g, bank, plan, c: auc_s(m, g)),
+}
 SHUFFLED_METRICS = ("sauc", "snss", "sskld", "sjsd", "semd")
-BASELINE_METRICS = ("cc", "sim", "nss", "auc_f", "auc_s")
-ALL_METRICS = SHUFFLED_METRICS + BASELINE_METRICS
-DENSITY_METRICS = ("cc", "sim", "auc_s")  # need the ground-truth density map
+ALL_METRICS = tuple(_METRICS)
+
+
+def _blur_levels(sweep) -> list[float]:
+    """The sweep's distinct sigmas, ascending; the smallest must be exactly 0."""
+    levels = sorted(set(sweep))
+    if not levels or levels[0] != 0:
+        raise ValueError(f"blur sweep must be non-empty, contain 0 and be >= 0: {tuple(sweep)}")
+    return levels
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Knobs of the evaluation protocol; echoed verbatim into every report."""
+    """Knobs of the evaluation protocol; echoed verbatim into every report.
+
+    The blur sweep must be non-empty, contain 0 (so "no blur" is always a
+    candidate) and hold no negative sigma; a config that breaks this rule,
+    names an unknown metric or an unknown sign mode is refused when built.
+    """
 
     trials: int = 100
     bins: int = 16
@@ -47,7 +88,6 @@ class EvalConfig:
     blur_sweep: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0)
     metrics: tuple[str, ...] = SHUFFLED_METRICS
     sign_mode: str = "per-trial"
-    sim_bins: int = 256
 
     def __post_init__(self):
         for m in self.metrics:
@@ -55,6 +95,7 @@ class EvalConfig:
                 raise ValueError(f"unknown metric: {m}")
         if self.sign_mode not in ("per-trial", "aggregate"):
             raise ValueError("sign_mode must be 'per-trial' or 'aggregate'")
+        _blur_levels(self.blur_sweep)
 
 
 @dataclass(frozen=True)
@@ -72,24 +113,12 @@ class EvaluationRecord:
     trial_plan_digest: str
 
 
-def optimal_blur_search(s, scorer, sweep) -> tuple[float | None, float | None]:
-    """Best (sigma, score) over the blur sweep; smallest sigma wins ties.
-
-    The sweep must include 0 so "no blur" is always a candidate. A scorer
-    that is degenerate at every blur level yields (None, None): a missing
-    score, not an error.
-    """
-    sweep = tuple(sweep)
-    if not sweep:
-        raise ValueError("blur sweep must be non-empty")
-    if 0 not in sweep:
-        raise ValueError("blur sweep must contain 0")
-    if any(sigma < 0 for sigma in sweep):
-        raise ValueError("blur sweep sigmas must be >= 0")
+def _best_candidate(candidates, scorer) -> tuple[float | None, float | None]:
+    # candidates come in ascending sigma, so the strict > keeps the smallest on ties
     best_sigma, best_score = None, None
-    for sigma in sorted(set(sweep)):
+    for sigma, cand in candidates:
         try:
-            score = scorer(gaussian_blur(s, sigma))
+            score = scorer(cand)
         except DegenerateInputError:
             continue
         if best_score is None or score > best_score:
@@ -97,31 +126,15 @@ def optimal_blur_search(s, scorer, sweep) -> tuple[float | None, float | None]:
     return best_sigma, best_score
 
 
-def _scorer(metric, fix, g, bank, plan, config):
-    if metric == "sauc":
-        return lambda m: sauc(m, fix, bank, plan).value
-    if metric == "snss":
-        return lambda m: snss(m, fix, bank, plan).value
-    if metric == "sskld":
-        return lambda m: sskld(
-            m, fix, bank, plan, config.bins, config.epsilon, config.sign_mode
-        ).value
-    if metric == "sjsd":
-        return lambda m: sjsd(m, fix, bank, plan, config.bins).value
-    if metric == "semd":
-        sat = GroundDistanceSpec(saturation=config.emd_saturation)
-        return lambda m: semd(m, fix, bank, plan, config.bins, sat).value
-    if metric == "cc":
-        return lambda m: cc(m, g)
-    if metric == "sim":
-        return lambda m: sim(m, g, config.sim_bins)
-    if metric == "nss":
-        return lambda m: nss(m, fix)
-    if metric == "auc_f":
-        return lambda m: auc_f(m, fix, plan).value
-    if metric == "auc_s":
-        return lambda m: auc_s(m, g)
-    raise ValueError(f"unknown metric: {metric}")
+def optimal_blur_search(s, scorer, sweep) -> tuple[float | None, float | None]:
+    """Best (sigma, score) over the blur sweep; smallest sigma wins ties.
+
+    The sweep must include 0 so "no blur" is always a candidate. A scorer
+    that is degenerate at every blur level yields (None, None): a missing
+    score, not an error.
+    """
+    levels = _blur_levels(sweep)
+    return _best_candidate(((sigma, gaussian_blur(s, sigma)) for sigma in levels), scorer)
 
 
 def evaluate_pair(
@@ -137,29 +150,25 @@ def evaluate_pair(
     """Score one model map against one image, one record per metric.
 
     The raw map is resized to the image dimensions and normalized; each
-    metric then blur-searches independently. Metrics needing the density
-    map (cc, sim, auc_s) require g; the shuffled metrics ignore it.
+    metric then blur-searches independently over candidates blurred once
+    and shared by all metrics. Metrics needing the density map (cc, sim,
+    auc_s) require g; the shuffled metrics ignore it. The plan must run
+    the config's number of trials.
     """
-    needed = set(config.metrics) & set(DENSITY_METRICS)
+    if plan.num_trials != config.trials:
+        raise ValueError(f"plan runs {plan.num_trials} trials, config says {config.trials}")
+    needed = [m for m in config.metrics if _METRICS[m].needs_g]
     if needed and g is None:
         raise ValueError(f"metrics {sorted(needed)} need the density map g")
     s0 = normalize_map(resize_map(s_raw, image.width, image.height))
-    sweep = sorted(set(config.blur_sweep))
-    if not sweep or 0 not in sweep or min(sweep) < 0:
-        raise ValueError("blur sweep must be non-empty, non-negative and contain 0")
-    candidates = [(sigma, gaussian_blur(s0, sigma)) for sigma in sweep]
+    candidates = [(sigma, gaussian_blur(s0, sigma)) for sigma in _blur_levels(config.blur_sweep)]
     digest = plan.digest()
     records = []
     for metric in config.metrics:
-        scorer = _scorer(metric, fix, g, bank, plan, config)
-        best_sigma, best_score = None, None
-        for sigma, cand in candidates:
-            try:
-                score = scorer(cand)
-            except DegenerateInputError:
-                continue
-            if best_score is None or score > best_score:
-                best_sigma, best_score = sigma, score
+        score = _METRICS[metric].score
+        best_sigma, best_score = _best_candidate(
+            candidates, lambda m: score(m, fix, g, bank, plan, config)
+        )
         records.append(
             EvaluationRecord(
                 model_id=model_id,
@@ -200,7 +209,7 @@ def evaluate_batch(
     if len(manifest.images) < 2:
         raise ValueError("evaluation needs at least 2 images")
     banks: dict[tuple[int, int], ShuffleBank] = {}
-    need_g = bool(set(config.metrics) & set(DENSITY_METRICS))
+    need_g = any(_METRICS[m].needs_g for m in config.metrics)
     units = []
     for image in manifest.images:
         frame = (image.width, image.height)

@@ -185,22 +185,27 @@ def auc_pair_oracle(pos_values, neg_values) -> float:
     return float(wins / (pos.size * neg.size))
 
 
+def _trial_mean_auc(s, fix: FixationSet, plan: TrialPlan, metric_id, negatives) -> MetricScore:
+    # negatives yields one NegativeSample per trial; only their source differs per metric
+    s = as_map(s)
+    _check_frame(s, fix)
+    if s.max() > 1.0:
+        raise ValueError(f"{metric_id} expects a normalized map")
+    pos = values_at(s, fix.points)
+    aucs = np.empty(plan.num_trials)
+    for sample in negatives:
+        curve = roc_from_samples(pos, values_at(s, sample.points))
+        aucs[sample.trial_index] = auc_of_curve(curve)
+    return MetricScore(float(aucs.mean()), metric_id, plan.num_trials)
+
+
 def auc_f(s, fix: FixationSet, plan: TrialPlan) -> MetricScore:
     """AUC with uniform-random non-fixated negatives, averaged over trials.
 
     One negative per fixation, resampled each trial. A constant map gives
     exactly 0.5 by the tie convention; that is a valid score, not an error.
     """
-    s = as_map(s)
-    _check_frame(s, fix)
-    if s.max() > 1.0:
-        raise ValueError("auc_f expects a normalized map")
-    pos = values_at(s, fix.points)
-    aucs = np.empty(plan.num_trials)
-    for sample in uniform_negative_trials(fix, "auc_f", plan):
-        curve = roc_from_samples(pos, values_at(s, sample.points))
-        aucs[sample.trial_index] = auc_of_curve(curve)
-    return MetricScore(float(aucs.mean()), "auc_f", plan.num_trials)
+    return _trial_mean_auc(s, fix, plan, "auc_f", uniform_negative_trials(fix, "auc_f", plan))
 
 
 def sauc(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan) -> MetricScore:
@@ -209,16 +214,8 @@ def sauc(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan) -> MetricScore
     Because the negatives inherit the dataset's spatial bias, a centered
     blob scores near chance instead of profiting from center bias.
     """
-    s = as_map(s)
-    _check_frame(s, fix)
-    if s.max() > 1.0:
-        raise ValueError("sauc expects a normalized map")
-    pos = values_at(s, fix.points)
-    aucs = np.empty(plan.num_trials)
-    for sample in shuffled_negative_trials(bank, fix, "sauc", plan):
-        curve = roc_from_samples(pos, values_at(s, sample.points))
-        aucs[sample.trial_index] = auc_of_curve(curve)
-    return MetricScore(float(aucs.mean()), "sauc", plan.num_trials)
+    negatives = shuffled_negative_trials(bank, fix, "sauc", plan)
+    return _trial_mean_auc(s, fix, plan, "sauc", negatives)
 
 
 def auc_s(s, g, levels: int = 256) -> float:

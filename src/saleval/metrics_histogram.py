@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import DegenerateInputError
 from .flow import min_cost_transport
 from .maps import FixationSet, as_map, values_at
-from .metrics_fixation import MetricScore
+from .metrics_fixation import MetricScore, _check_frame, _mean_std
 from .shuffle import ShuffleBank, TrialPlan, shuffled_negative_trials
 
 __all__ = [
@@ -219,13 +218,6 @@ def emd_brute_oracle(h1: ValueHistogram, h2: ValueHistogram, d: GroundDistanceSp
     return float(res.fun) + abs(a.sum() - b.sum()) * d.saturation
 
 
-def _require_variance(s: np.ndarray, metric_id: str) -> tuple[float, float]:
-    # constancy checked on the value range, not std(), which picks up float summation noise
-    if s.max() == s.min():
-        raise DegenerateInputError(f"zero-variance map in {metric_id}")
-    return float(s.mean()), float(s.std())
-
-
 def _shuffled_parts(s, fix, bank, plan, bins, metric_id):
     """Per-trial (snss value, fixation histogram, negative histogram).
 
@@ -234,12 +226,10 @@ def _shuffled_parts(s, fix, bank, plan, bins, metric_id):
     number of negatives.
     """
     s = as_map(s)
-    w, h = fix.frame
-    if s.shape != (h, w):
-        raise ValueError(f"map shape {s.shape} does not match fixation frame {w}x{h}")
+    _check_frame(s, fix)
     if s.max() > 1.0:
         raise ValueError(f"{metric_id} expects a normalized map")
-    mu, sd = _require_variance(s, metric_id)
+    mu, sd = _mean_std(s, metric_id)
     pos_vals = values_at(s, fix.points)
     pos_nss = (pos_vals.mean() - mu) / sd
     h_pos = _point_hist(pos_vals, bins, len(fix))
@@ -247,6 +237,16 @@ def _shuffled_parts(s, fix, bank, plan, bins, metric_id):
         neg_vals = values_at(s, sample.points)
         snss_val = pos_nss - (neg_vals.mean() - mu) / sd
         yield snss_val, h_pos, _point_hist(neg_vals, bins, len(fix)), sample.trial_index
+
+
+def _sskld_parts(s, fix, bank, plan, bins, epsilon) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial (SNSS, symmetric KLD) arrays, the two halves of SSKLD."""
+    snss_vals = np.empty(plan.num_trials)
+    skld_vals = np.empty(plan.num_trials)
+    for snss_val, h_pos, h_neg, trial in _shuffled_parts(s, fix, bank, plan, bins, "sskld"):
+        snss_vals[trial] = snss_val
+        skld_vals[trial] = symmetric_kld(h_pos, h_neg, epsilon)
+    return snss_vals, skld_vals
 
 
 def sskld_trials(
@@ -258,10 +258,8 @@ def sskld_trials(
     epsilon: float = 1e-12,
 ) -> np.ndarray:
     """Per-trial signed shuffled KLD: sign(trial SNSS) * symmetric KLD."""
-    vals = np.empty(plan.num_trials)
-    for snss_val, h_pos, h_neg, trial in _shuffled_parts(s, fix, bank, plan, bins, "sskld"):
-        vals[trial] = np.sign(snss_val) * symmetric_kld(h_pos, h_neg, epsilon)
-    return vals
+    snss_vals, skld_vals = _sskld_parts(s, fix, bank, plan, bins, epsilon)
+    return np.sign(snss_vals) * skld_vals
 
 
 def sskld(
@@ -283,11 +281,7 @@ def sskld(
     """
     if sign_mode not in ("per-trial", "aggregate"):
         raise ValueError("sign_mode must be 'per-trial' or 'aggregate'")
-    snss_vals = np.empty(plan.num_trials)
-    skld_vals = np.empty(plan.num_trials)
-    for snss_val, h_pos, h_neg, trial in _shuffled_parts(s, fix, bank, plan, bins, "sskld"):
-        snss_vals[trial] = snss_val
-        skld_vals[trial] = symmetric_kld(h_pos, h_neg, epsilon)
+    snss_vals, skld_vals = _sskld_parts(s, fix, bank, plan, bins, epsilon)
     if sign_mode == "per-trial":
         value = float(np.mean(np.sign(snss_vals) * skld_vals))
     else:

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from saleval.cli import main
-from saleval.harness import read_records
+from saleval.harness import EvalConfig, read_records
 
 
 @pytest.fixture()
@@ -72,6 +73,9 @@ def test_summary_echoes_defaults(dataset, tmp_path):
     assert config["blur_sweep"] == [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0]
     assert config["master_seed"] == 0
     assert config["rng"] == "numpy-PCG64"
+    replay = {"manifest", "master_seed", "pixels_per_degree", "rng", "seed_derivation",
+              "trial_plan_digest"}
+    assert set(config) == {f.name for f in dataclasses.fields(EvalConfig)} | replay
 
 
 def test_evaluate_with_all_metrics_and_jobs(dataset, tmp_path):

@@ -24,7 +24,7 @@ def test_synth_then_load_round_trip(tmp_path):
     bank = build_shuffle_bank(list(manifest.fixations.values()), (48, 36))
     assert len(bank.entries) == 4
     # maps load and are valid normalized maps
-    m = manifest.load_map("gt_copy", "img000")
+    m = read_pgm(manifest.map_path("gt_copy", "img000"))
     assert m.shape == (36, 48)
     assert 0 <= m.min() and m.max() <= 1
 

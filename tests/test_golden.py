@@ -40,14 +40,17 @@ def _golden_run(work: Path):
     return evaluate_batch(load_manifest(path), config, TrialPlan(num_trials=TRIALS, master_seed=3))
 
 
+def _key(r):
+    return (r.model_id, r.image_id, r.metric_id)
+
+
 def test_records_match_golden_fixture(tmp_path):
     got = _golden_run(tmp_path)
     want = read_records(GOLDEN)
-    key = lambda r: (r.model_id, r.image_id, r.metric_id)  # noqa: E731
-    assert [key(r) for r in got] == [key(r) for r in want]
+    assert [_key(r) for r in got] == [_key(r) for r in want]
     assert len(got) == 4 * len(BASELINE_MODELS) * len(ALL_METRICS)
     for g, w in zip(got, want):
-        where = key(g)
+        where = _key(g)
         assert (g.score is None) == (w.score is None), where
         if g.score is not None:
             assert math.isclose(g.score, w.score, rel_tol=0, abs_tol=1e-12), (where, g.score, w.score)

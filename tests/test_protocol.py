@@ -164,3 +164,19 @@ def test_config_validates_metrics():
         EvalConfig(metrics=("sauc", "mystery"))
     with pytest.raises(ValueError):
         EvalConfig(sign_mode="sometimes")
+    # the blur-sweep rule is enforced when the config is built, not mid-batch
+    for sweep in ((), (1.0, 2.0), (-1.0, 0.0)):
+        with pytest.raises(ValueError, match="blur sweep"):
+            EvalConfig(blur_sweep=sweep)
+
+
+def test_plan_must_run_the_configured_trials(tmp_path):
+    manifest, bank = _tiny_setup(tmp_path)
+    image = manifest.images[0]
+    fix = manifest.fixations[image.image_id]
+    plan = TrialPlan(num_trials=7, master_seed=1)
+    config = EvalConfig(trials=100, blur_sweep=(0.0,), metrics=("sauc",))
+    with pytest.raises(ValueError, match="trials"):
+        evaluate_pair(np.ones((36, 48)), image, fix, None, bank, plan, config)
+    with pytest.raises(ValueError, match="trials"):
+        evaluate_batch(manifest, config, plan)
