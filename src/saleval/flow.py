@@ -3,9 +3,13 @@
 Successive shortest augmenting paths on the bipartite transport graph:
 ship min(total supply, total demand) units at minimum total cost subject
 to per-bin supply and demand capacities. Node potentials keep residual
-costs non-negative so each augmentation is a plain Dijkstra pass.
-Instances here are histogram sized (tens of bins), so the dense O(V^2)
-search is both exact and fast; no approximation layer is involved.
+costs non-negative so each augmentation is a plain Dijkstra pass over the
+residual graph: source -> supply bins, supply -> demand bins at the unit
+cost, demand -> supply bins back along shipped flow, demand bins -> sink.
+Zero-mass bins carry no flow and are left out of the graph. Instances
+here are histogram sized (tens of bins), so the dense O(V^2) search runs
+on plain Python lists, which beat numpy's per-call overhead several times
+over at this size; no approximation layer is involved.
 """
 
 from __future__ import annotations
@@ -27,39 +31,6 @@ class FlowSolution:
     cost: float
 
 
-def _dijkstra(cmat: np.ndarray) -> tuple[list[float], list[int]]:
-    """Distances and predecessors from node 0 on a dense non-negative graph.
-
-    Plain-Python O(V^2) scan: the graphs here have a few dozen nodes, where
-    list operations beat numpy's per-call overhead several times over.
-    """
-    rows = cmat.tolist()
-    v = len(rows)
-    inf = float("inf")
-    dist = [inf] * v
-    dist[0] = 0.0
-    pred = [-1] * v
-    done = [False] * v
-    for _ in range(v):
-        u = -1
-        best = inf
-        for i in range(v):
-            if not done[i] and dist[i] < best:
-                best = dist[i]
-                u = i
-        if u < 0:
-            break
-        done[u] = True
-        row = rows[u]
-        for w in range(v):
-            if not done[w]:
-                through = best + row[w]
-                if through < dist[w]:
-                    dist[w] = through
-                    pred[w] = u
-    return dist, pred
-
-
 def min_cost_transport(supply, demand, cost) -> FlowSolution:
     """Cheapest way to move min(sum supply, sum demand) mass.
 
@@ -75,60 +46,92 @@ def min_cost_transport(supply, demand, cost) -> FlowSolution:
     if (supply < 0).any() or (demand < 0).any() or (cost < 0).any():
         raise ValueError("supplies, demands and costs must be >= 0")
 
-    # zero-mass bins cannot carry flow; solve on the compressed instance
     si = np.flatnonzero(supply > 0)
     dj = np.flatnonzero(demand > 0)
-    if si.size < supply.size or dj.size < demand.size:
-        inner = min_cost_transport(supply[si], demand[dj], cost[np.ix_(si, dj)])
-        flows = tuple((int(si[i]), int(dj[j]), amt) for i, j, amt in inner.flows)
-        return FlowSolution(flows=flows, cost=inner.cost)
-
-    ns, nd = cost.shape
-    target = min(supply.sum(), demand.sum())
-    flow = np.zeros((ns, nd))
+    target = float(min(supply[si].sum(), demand[dj].sum()))
+    rs = supply[si].tolist()
+    rd = demand[dj].tolist()
+    c = cost[np.ix_(si, dj)].tolist()
+    ns, nd = len(rs), len(rd)
+    flow = [[0.0] * nd for _ in range(ns)]
     if target > 0:
-        eps = _REL_EPS * max(1.0, float(target))
-        rs = supply.copy()
-        rd = demand.copy()
+        eps = _REL_EPS * max(1.0, target)
+        inf = float("inf")
+        # nodes: 0..ns-1 supply bins, ns..ns+nd-1 demand bins, then the sink;
+        # the source stays implicit (its potential never leaves 0)
+        sink = ns + nd
+        potential = [0.0] * (sink + 1)
         shipped = 0.0
-        # node layout: 0 = source, 1..ns = supply bins,
-        # ns+1..ns+nd = demand bins, last = sink
-        v = ns + nd + 2
-        sink = v - 1
-        potential = np.zeros(v)
         while target - shipped > eps:
-            cmat = np.full((v, v), np.inf)
-            cmat[0, 1 : ns + 1] = np.where(rs > eps, 0.0, np.inf)
-            cmat[1 : ns + 1, ns + 1 : sink] = cost
-            cmat[ns + 1 : sink, 1 : ns + 1] = np.where(flow.T > eps, -cost.T, np.inf)
-            cmat[ns + 1 : sink, sink] = np.where(rd > eps, 0.0, np.inf)
-            # reduced costs are >= 0 up to float rounding; clamp the noise
-            reduced = cmat + potential[:, None] - potential[None, :]
-            np.maximum(reduced, 0.0, out=reduced, where=np.isfinite(reduced))
-            dist, pred = _dijkstra(reduced)
-            if not np.isfinite(dist[sink]):
-                raise RuntimeError("transport target unreachable")
-            potential += np.minimum(dist, dist[sink])
-
-            path = [sink]
-            while path[-1] != 0:
-                path.append(pred[path[-1]])
-            path.reverse()
-            first, last = path[1] - 1, path[-2] - ns - 1
-            bottleneck = min(target - shipped, rs[first], rd[last])
-            hops = list(zip(path[1:-2], path[2:-1]))
-            for u, w in hops:
-                if u > ns:  # backward arc demand -> supply
-                    bottleneck = min(bottleneck, flow[w - 1, u - ns - 1])
-            for u, w in hops:
-                if u <= ns:
-                    flow[u - 1, w - ns - 1] += bottleneck
+            # a supply bin keeps potential 0 while it has supply left, so its
+            # reduced cost from the source is 0; pred -1 marks the source
+            dist = [0.0 if rs[i] > eps else inf for i in range(ns)] + [inf] * (nd + 1)
+            pred = [-1] * (sink + 1)
+            unsettled = list(range(sink + 1))
+            while True:
+                # lowest index wins ties, as in a plain scan
+                u = min(unsettled, key=dist.__getitem__)
+                best = dist[u]
+                if u == sink or best == inf:
+                    break
+                unsettled.remove(u)
+                pu = potential[u]
+                if u < ns:
+                    row = c[u]
+                    for w in unsettled:
+                        if ns <= w < sink:
+                            # reduced costs are >= 0 up to float rounding; clamp the noise
+                            r = row[w - ns] + pu - potential[w]
+                            through = best + r if r > 0.0 else best
+                            if through < dist[w]:
+                                dist[w] = through
+                                pred[w] = u
                 else:
-                    flow[w - 1, u - ns - 1] -= bottleneck
+                    j = u - ns
+                    for w in unsettled:
+                        if w < ns:
+                            if flow[w][j] > eps:
+                                r = -c[w][j] + pu - potential[w]
+                                through = best + r if r > 0.0 else best
+                                if through < dist[w]:
+                                    dist[w] = through
+                                    pred[w] = u
+                        elif w == sink and rd[j] > eps:
+                            r = pu - potential[sink]
+                            through = best + r if r > 0.0 else best
+                            if through < dist[sink]:
+                                dist[sink] = through
+                                pred[sink] = u
+            reach = dist[sink]
+            if reach == inf:
+                raise RuntimeError("transport target unreachable")
+            potential = [p + (d if d < reach else reach) for p, d in zip(potential, dist)]
+
+            # walk back from the sink: forward arcs supply -> demand, backward
+            # arcs demand -> supply along shipped flow
+            last = pred[sink] - ns
+            bottleneck = min(target - shipped, rd[last])
+            forward, backward = [], []
+            w = pred[sink]
+            while w >= 0:
+                i = pred[w]
+                forward.append((i, w - ns))
+                w = pred[i]
+                if w >= 0:
+                    backward.append((i, w - ns))
+                    bottleneck = min(bottleneck, flow[i][w - ns])
+            first = forward[-1][0]
+            bottleneck = min(bottleneck, rs[first])
+            for i, j in forward:
+                flow[i][j] += bottleneck
+            for i, j in backward:
+                flow[i][j] -= bottleneck
             rs[first] -= bottleneck
             rd[last] -= bottleneck
             shipped += bottleneck
 
-    nz = np.argwhere(flow > 0)
-    flows = tuple((int(i), int(j), float(flow[i, j])) for i, j in nz)
-    return FlowSolution(flows=flows, cost=float((flow * cost).sum()))
+    arcs = [(i, j, amt) for i, row in enumerate(flow) for j, amt in enumerate(row) if amt > 0]
+    return FlowSolution(
+        flows=tuple((int(si[i]), int(dj[j]), amt) for i, j, amt in arcs),
+        cost=float(sum(amt * c[i][j] for i, j, amt in arcs)),
+    )

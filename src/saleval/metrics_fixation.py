@@ -4,6 +4,9 @@ Covers the classic map-vs-map scores (CC, SIM), the point-based scores
 (NSS and its shuffled form SNSS), and the ROC family (AUC over uniform
 negatives, AUC over a binarized density map, shuffled AUC), plus an exact
 pair-counting AUC oracle used to validate the threshold-grid integrator.
+The trial metrics score all trials of a candidate map at once, from a
+(trials, n) array of map values at the negatives; roc_from_samples is
+the one-row case of the same threshold-grid kernel.
 """
 
 from __future__ import annotations
@@ -118,6 +121,17 @@ def nss(s, fix: FixationSet) -> float:
     return nss_at_points(s, fix.points)
 
 
+def _trial_values(s: np.ndarray, negatives) -> np.ndarray:
+    """(T, n) map values at each trial's negative points, one row per trial."""
+    pts = np.stack([sample.points for sample in negatives])
+    return s[pts[..., 1], pts[..., 0]]
+
+
+def _snss_rows(pos_vals: np.ndarray, neg_vals: np.ndarray, mu: float, sd: float) -> np.ndarray:
+    """NSS at the positive values minus NSS along each row of negative values."""
+    return (pos_vals.mean() - mu) / sd - (neg_vals.mean(axis=-1) - mu) / sd
+
+
 def snss_trials(
     s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan, metric_id: str = "snss"
 ) -> np.ndarray:
@@ -125,12 +139,8 @@ def snss_trials(
     s = as_map(s)
     _check_frame(s, fix)
     mu, sd = _mean_std(s, "snss")
-    pos = (values_at(s, fix.points).mean() - mu) / sd
-    vals = np.empty(plan.num_trials)
-    for sample in shuffled_negative_trials(bank, fix, metric_id, plan):
-        neg = (values_at(s, sample.points).mean() - mu) / sd
-        vals[sample.trial_index] = pos - neg
-    return vals
+    neg = _trial_values(s, shuffled_negative_trials(bank, fix, metric_id, plan))
+    return _snss_rows(values_at(s, fix.points), neg, mu, sd)
 
 
 def snss(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan) -> MetricScore:
@@ -143,6 +153,28 @@ def snss(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan) -> MetricScore
     """
     vals = snss_trials(s, fix, bank, plan)
     return MetricScore(float(vals.mean()), "snss", plan.num_trials)
+
+
+def _row_counts(idx: np.ndarray, k: int) -> np.ndarray:
+    """Per-row counts of the integers 0..k-1: one bincount over row * k + idx."""
+    rows = idx.reshape(-1, idx.shape[-1])
+    r = rows.shape[0]
+    counts = np.bincount((rows + k * np.arange(r)[:, None]).ravel(), minlength=r * k)
+    return counts.reshape(idx.shape[:-1] + (k,))
+
+
+def _rates(vals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Share of each row's values that are >= each threshold of a descending grid.
+
+    One searchsorted of every value into the grid gives the first threshold
+    it reaches; counts per row and a cumulative sum along the grid give how
+    many values reach each threshold. (..., n) values give (..., levels).
+    """
+    levels = thresholds.size
+    n = vals.shape[-1]
+    first = levels - np.searchsorted(thresholds[::-1], vals, side="right")
+    count = np.cumsum(_row_counts(first, levels + 1)[..., :levels], axis=-1)
+    return 1.0 - (n - count) / n
 
 
 def roc_from_samples(pos_values, neg_values, levels: int = 256) -> RocCurve:
@@ -161,18 +193,23 @@ def roc_from_samples(pos_values, neg_values, levels: int = 256) -> RocCurve:
     if levels < 2:
         raise ValueError("levels must be >= 2")
     thresholds = np.linspace(1.0, 0.0, levels)
-    ps = np.sort(pos)
-    ns = np.sort(neg)
-    tpr = 1.0 - np.searchsorted(ps, thresholds, side="left") / pos.size
-    fpr = 1.0 - np.searchsorted(ns, thresholds, side="left") / neg.size
+    tpr = _rates(pos.ravel(), thresholds)
+    fpr = _rates(neg.ravel(), thresholds)
     return RocCurve(thresholds=thresholds, tpr=tpr, fpr=fpr)
+
+
+def _auc_rows(tpr: np.ndarray, fpr: np.ndarray) -> np.ndarray:
+    """Trapezoidal area under each ROC row, anchored at (0,0) and (1,1)."""
+    tpr, fpr = np.broadcast_arrays(tpr, fpr)
+    edge = np.zeros(tpr.shape[:-1] + (1,))
+    y = np.concatenate((edge, tpr, edge + 1.0), axis=-1)
+    x = np.concatenate((edge, fpr, edge + 1.0), axis=-1)
+    return np.trapezoid(y, x, axis=-1)
 
 
 def auc_of_curve(curve: RocCurve) -> float:
     """Trapezoidal area under an ROC curve, anchored at (0,0) and (1,1)."""
-    fpr = np.concatenate(([0.0], curve.fpr, [1.0]))
-    tpr = np.concatenate(([0.0], curve.tpr, [1.0]))
-    return float(np.trapezoid(tpr, fpr))
+    return float(_auc_rows(curve.tpr, curve.fpr))
 
 
 def auc_pair_oracle(pos_values, neg_values) -> float:
@@ -191,12 +228,10 @@ def _trial_mean_auc(s, fix: FixationSet, plan: TrialPlan, metric_id, negatives) 
     _check_frame(s, fix)
     if s.max() > 1.0:
         raise ValueError(f"{metric_id} expects a normalized map")
-    pos = values_at(s, fix.points)
-    aucs = np.empty(plan.num_trials)
-    for sample in negatives:
-        curve = roc_from_samples(pos, values_at(s, sample.points))
-        aucs[sample.trial_index] = auc_of_curve(curve)
-    return MetricScore(float(aucs.mean()), metric_id, plan.num_trials)
+    thresholds = np.linspace(1.0, 0.0, 256)
+    tpr = _rates(values_at(s, fix.points), thresholds)
+    fpr = _rates(_trial_values(s, negatives), thresholds)
+    return MetricScore(float(_auc_rows(tpr, fpr).mean()), metric_id, plan.num_trials)
 
 
 def auc_f(s, fix: FixationSet, plan: TrialPlan) -> MetricScore:

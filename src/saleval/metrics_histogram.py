@@ -5,7 +5,13 @@ the true fixations against the distribution at cross-image negative
 points: signed shuffled symmetric KLD (SSKLD), shuffled Jensen-Shannon
 distance (SJSD), and shuffled Earth Mover's Distance (SEMD) built on a
 mass-mismatch-penalized EMD with a saturated bin-index ground distance.
-A generic-LP oracle cross-checks the transport solver on small instances.
+
+Trials are an array axis: a candidate map's negative values form one
+(trials, n) array, binned by a single bincount into (trials, bins)
+masses, and SKLD and JSD reduce along the last axis. hist_at_points,
+symmetric_kld and jsd are the one-row case of those same kernels. SEMD
+still solves one exact transport problem per trial (flow.py). A
+generic-LP oracle cross-checks the transport solver on small instances.
 """
 
 from __future__ import annotations
@@ -17,7 +23,14 @@ from scipy.optimize import linprog
 
 from .flow import min_cost_transport
 from .maps import FixationSet, as_map, values_at
-from .metrics_fixation import MetricScore, _check_frame, _mean_std
+from .metrics_fixation import (
+    MetricScore,
+    _check_frame,
+    _mean_std,
+    _row_counts,
+    _snss_rows,
+    _trial_values,
+)
 from .shuffle import ShuffleBank, TrialPlan, shuffled_negative_trials
 
 __all__ = [
@@ -103,11 +116,14 @@ def _unit_edges(bins: int) -> np.ndarray:
     return edges
 
 
-def _point_hist(vals: np.ndarray, bins: int, normalizer: int) -> ValueHistogram:
-    # uniform bins over [0, 1]: direct index binning, last bin right-closed
+def _value_masses(vals: np.ndarray, bins: int, normalizer: int) -> np.ndarray:
+    """Per-row bin counts of values in [0, 1] divided by normalizer.
+
+    Uniform bins, the last one right-closed: (..., n) values give
+    (..., bins) masses.
+    """
     idx = np.minimum((vals * bins).astype(np.int64), bins - 1)
-    counts = np.bincount(idx, minlength=bins)
-    return ValueHistogram(_unit_edges(bins), counts / normalizer, normalizer)
+    return _row_counts(idx, bins) / normalizer
 
 
 def hist_at_points(s, points, bins: int = 16) -> ValueHistogram:
@@ -124,12 +140,20 @@ def hist_at_points(s, points, bins: int = 16) -> ValueHistogram:
         raise ValueError("bins must be >= 2")
     if s.max() > 1.0:
         raise ValueError("hist_at_points expects a normalized map")
-    return _point_hist(values_at(s, pts), bins, pts.shape[0])
+    n = pts.shape[0]
+    return ValueHistogram(_unit_edges(bins), _value_masses(values_at(s, pts), bins, n), n)
 
 
 def _check_same_binning(a: ValueHistogram, b: ValueHistogram) -> None:
     if a.bins != b.bins or not np.array_equal(a.bin_edges, b.bin_edges):
         raise ValueError("histograms must share the same binning")
+
+
+def _skld_rows(p: np.ndarray, q: np.ndarray, epsilon: float) -> np.ndarray:
+    """Symmetric KLD between mass rows, epsilon added to every bin."""
+    p = p + epsilon
+    q = q + epsilon
+    return 0.5 * np.sum((p - q) * np.log(p / q), axis=-1)
 
 
 def symmetric_kld(h: ValueHistogram, hhat: ValueHistogram, epsilon: float = 1e-12) -> float:
@@ -142,9 +166,19 @@ def symmetric_kld(h: ValueHistogram, hhat: ValueHistogram, epsilon: float = 1e-1
     _check_same_binning(h, hhat)
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    p = h.mass + epsilon
-    q = hhat.mass + epsilon
-    return float(0.5 * np.sum((p - q) * np.log(p / q)))
+    return float(_skld_rows(h.mass, hhat.mass, epsilon))
+
+
+def _jsd_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Base-2 JSD between mass rows, each renormalized to sum 1; 0 * log 0 = 0."""
+    pm, qm = np.broadcast_arrays(p / p.sum(axis=-1, keepdims=True), q / q.sum(axis=-1, keepdims=True))
+    mid = 0.5 * (pm + qm)
+
+    def _kld2(a: np.ndarray) -> np.ndarray:
+        ratio = np.divide(a, mid, out=np.ones_like(a), where=a > 0)
+        return np.sum(a * np.log2(ratio), axis=-1)
+
+    return 0.5 * (_kld2(pm) + _kld2(qm))
 
 
 def jsd(p: ValueHistogram, q: ValueHistogram) -> float:
@@ -156,15 +190,7 @@ def jsd(p: ValueHistogram, q: ValueHistogram) -> float:
     _check_same_binning(p, q)
     if p.mass.sum() == 0 or q.mass.sum() == 0:
         raise ValueError("histograms must have positive total mass")
-    pm = p.mass / p.mass.sum()
-    qm = q.mass / q.mass.sum()
-    mid = 0.5 * (pm + qm)
-
-    def _kld2(a: np.ndarray) -> float:
-        nz = a > 0
-        return float(np.sum(a[nz] * np.log2(a[nz] / mid[nz])))
-
-    return 0.5 * (_kld2(pm) + _kld2(qm))
+    return float(_jsd_rows(p.mass, q.mass))
 
 
 def emd_hat(h_source: ValueHistogram, h_sink: ValueHistogram, d: GroundDistanceSpec) -> float:
@@ -218,8 +244,8 @@ def emd_brute_oracle(h1: ValueHistogram, h2: ValueHistogram, d: GroundDistanceSp
     return float(res.fun) + abs(a.sum() - b.sum()) * d.saturation
 
 
-def _shuffled_parts(s, fix, bank, plan, bins, metric_id):
-    """Per-trial (snss value, fixation histogram, negative histogram).
+def _shuffled_masses(s, fix, bank, plan, bins, metric_id):
+    """Per-trial SNSS (T,), fixation masses (bins,) and negative masses (T, bins).
 
     Both histograms are normalized by the ground-truth fixation count, so
     their masses stay comparable even when the plan draws a different
@@ -230,23 +256,16 @@ def _shuffled_parts(s, fix, bank, plan, bins, metric_id):
     if s.max() > 1.0:
         raise ValueError(f"{metric_id} expects a normalized map")
     mu, sd = _mean_std(s, metric_id)
-    pos_vals = values_at(s, fix.points)
-    pos_nss = (pos_vals.mean() - mu) / sd
-    h_pos = _point_hist(pos_vals, bins, len(fix))
-    for sample in shuffled_negative_trials(bank, fix, metric_id, plan):
-        neg_vals = values_at(s, sample.points)
-        snss_val = pos_nss - (neg_vals.mean() - mu) / sd
-        yield snss_val, h_pos, _point_hist(neg_vals, bins, len(fix)), sample.trial_index
+    pos = values_at(s, fix.points)
+    neg = _trial_values(s, shuffled_negative_trials(bank, fix, metric_id, plan))
+    n = len(fix)
+    return _snss_rows(pos, neg, mu, sd), _value_masses(pos, bins, n), _value_masses(neg, bins, n)
 
 
 def _sskld_parts(s, fix, bank, plan, bins, epsilon) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (SNSS, symmetric KLD) arrays, the two halves of SSKLD."""
-    snss_vals = np.empty(plan.num_trials)
-    skld_vals = np.empty(plan.num_trials)
-    for snss_val, h_pos, h_neg, trial in _shuffled_parts(s, fix, bank, plan, bins, "sskld"):
-        snss_vals[trial] = snss_val
-        skld_vals[trial] = symmetric_kld(h_pos, h_neg, epsilon)
-    return snss_vals, skld_vals
+    snss_vals, pos, neg = _shuffled_masses(s, fix, bank, plan, bins, "sskld")
+    return snss_vals, _skld_rows(pos, neg, epsilon)
 
 
 def sskld_trials(
@@ -293,10 +312,8 @@ def sjsd_trials(
     s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan, bins: int = 16
 ) -> np.ndarray:
     """Per-trial square root of the JSD between the two value histograms."""
-    vals = np.empty(plan.num_trials)
-    for _, h_pos, h_neg, trial in _shuffled_parts(s, fix, bank, plan, bins, "sjsd"):
-        vals[trial] = np.sqrt(jsd(h_pos, h_neg))
-    return vals
+    _, pos, neg = _shuffled_masses(s, fix, bank, plan, bins, "sjsd")
+    return np.sqrt(_jsd_rows(pos, neg))
 
 
 def sjsd(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan, bins: int = 16) -> MetricScore:
@@ -318,10 +335,10 @@ def semd_trials(
     d: GroundDistanceSpec = GroundDistanceSpec(),
 ) -> np.ndarray:
     """Per-trial EMD between the fixated and negative value histograms."""
-    vals = np.empty(plan.num_trials)
-    for _, h_pos, h_neg, trial in _shuffled_parts(s, fix, bank, plan, bins, "semd"):
-        vals[trial] = emd_hat(h_pos, h_neg, d)
-    return vals
+    _, pos, neg = _shuffled_masses(s, fix, bank, plan, bins, "semd")
+    edges, n = _unit_edges(bins), len(fix)
+    h_pos = ValueHistogram(edges, pos, n)
+    return np.array([emd_hat(h_pos, ValueHistogram(edges, row, n), d) for row in neg])
 
 
 def semd(

@@ -3,11 +3,14 @@
 Every sampling call is a pure function of its inputs plus a 64-bit seed;
 the generator is numpy's PCG64. Per-trial seeds derive from a stable hash
 over (master_seed, image_id, metric_id, trial_index), so any run can be
-replayed bit-for-bit from the recorded plan.
+replayed bit-for-bit from the recorded plan. Because a shuffled draw
+depends only on its seed, the pool size and n, it is memoized: scoring
+the same image again under another model or blur level reuses it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -43,6 +46,22 @@ def derive_trial_seed(master_seed: int, image_id: str, metric_id: str, trial_ind
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
+
+
+# Shuffled draws depend only on (seed, pool size, n), not on the model or the
+# blur level being scored, so one image's draws are made once and reused by
+# every candidate. The size covers one image's seeds for the six per-trial
+# metrics at the default 100 trials (five of them draw here); batches run
+# image by image, so an image's draws stay cached while its pairs are scored.
+_DRAW_CACHE_SIZE = 6 * 100
+
+
+@functools.lru_cache(maxsize=_DRAW_CACHE_SIZE)
+def _shuffled_indices(seed: int, pool_size: int, n: int) -> np.ndarray:
+    """n i.i.d. pool indices from the seed's PCG64 stream, read-only."""
+    idx = _rng(seed).integers(0, pool_size, size=n)
+    idx.setflags(write=False)
+    return idx
 
 
 @dataclass(frozen=True)
@@ -184,8 +203,7 @@ def sample_shuffled_nonfixated(
     if n < 1:
         raise ValueError("n must be >= 1")
     pool = pooled_fixations(bank, exclude)
-    idx = _rng(seed).integers(0, pool.shape[0], size=n)
-    return NegativeSample(pool[idx], trial_index)
+    return NegativeSample(pool[_shuffled_indices(seed, pool.shape[0], n)], trial_index)
 
 
 def uniform_negative_trials(
@@ -209,5 +227,4 @@ def shuffled_negative_trials(
     pool = pooled_fixations(bank, fixations.image_id)
     for trial in range(plan.num_trials):
         seed = derive_trial_seed(plan.master_seed, fixations.image_id, metric_id, trial)
-        idx = _rng(seed).integers(0, pool.shape[0], size=n)
-        yield NegativeSample(pool[idx], trial)
+        yield NegativeSample(pool[_shuffled_indices(seed, pool.shape[0], n)], trial)

@@ -62,6 +62,22 @@ def test_flow_conservation_constraints():
         assert flow.sum() == pytest.approx(target, abs=1e-9)
 
 
+def _emd_residual_instances(rng, count):
+    # what emd_hat hands the solver: 16-bin masses with the overlap removed
+    # (disjoint supports, many zero-mass bins) and min(|i-j|, T) costs, whose
+    # small integer values tie often
+    idx = np.arange(16)
+    for k in range(count):
+        saturation = 1 + k % 8
+        cost = np.minimum(np.abs(idx[:, None] - idx[None, :]), saturation).astype(float)
+        if k % 2:  # count histograms, as the shuffled metrics build them
+            a, b = rng.integers(0, 6, (2, 16)) / 20.0
+        else:
+            a, b = rng.random((2, 16)) * (rng.random((2, 16)) < 0.5)
+        overlap = np.minimum(a, b)
+        yield a - overlap, b - overlap, cost
+
+
 def test_matches_lp_on_random_instances():
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -71,6 +87,18 @@ def test_matches_lp_on_random_instances():
         cost = rng.integers(0, 6, (ns, nd)).astype(float)
         sol = min_cost_transport(supply, demand, cost)
         assert sol.cost == pytest.approx(_lp_reference(supply, demand, cost), abs=1e-9)
+    for supply, demand, cost in _emd_residual_instances(rng, 200):
+        sol = min_cost_transport(supply, demand, cost)
+        assert sol.cost == pytest.approx(_lp_reference(supply, demand, cost), abs=1e-9)
+        flow = np.zeros(cost.shape)
+        for i, j, amt in sol.flows:
+            # sparse: positive amounts, each arc once, only between bins with mass
+            assert amt > 0 and flow[i, j] == 0 and supply[i] > 0 and demand[j] > 0
+            flow[i, j] = amt
+        assert (flow.sum(axis=1) <= supply + 1e-12).all()
+        assert (flow.sum(axis=0) <= demand + 1e-12).all()
+        assert flow.sum() == pytest.approx(min(supply.sum(), demand.sum()), abs=1e-12)
+        assert sol.cost == pytest.approx((flow * cost).sum(), abs=1e-12)
 
 
 def test_rejects_bad_inputs():

@@ -22,7 +22,12 @@ from saleval.metrics_fixation import (
     snss,
     snss_trials,
 )
-from saleval.shuffle import TrialPlan, build_shuffle_bank, shuffled_negative_trials
+from saleval.shuffle import (
+    TrialPlan,
+    build_shuffle_bank,
+    shuffled_negative_trials,
+    uniform_negative_trials,
+)
 
 
 def _blob_setup(seed=0):
@@ -256,3 +261,41 @@ def test_centered_gaussian_near_chance_under_sauc():
     plan = TrialPlan(num_trials=40, master_seed=13)
     scores = [sauc(blob, fs, bank, plan).value for fs in sets]
     assert 0.45 < np.mean(scores) < 0.55
+
+
+def _grid_auc_one_trial(pos, neg):
+    # the per-trial ROC written out: sorted values, one searchsorted per side
+    thresholds = np.linspace(1.0, 0.0, 256)
+    tpr = 1.0 - np.searchsorted(np.sort(pos), thresholds, side="left") / pos.size
+    fpr = 1.0 - np.searchsorted(np.sort(neg), thresholds, side="left") / neg.size
+    return np.trapezoid(np.r_[0.0, tpr, 1.0], np.r_[0.0, fpr, 1.0])
+
+
+@pytest.mark.parametrize("samples", [None, 7, 40])
+def test_batched_trials_match_a_loop_over_trials(tie_case, samples):
+    s, fix, bank = tie_case
+    plan = TrialPlan(num_trials=9, samples_per_trial=samples, master_seed=5)
+    pos = s[fix.points[:, 1], fix.points[:, 0]]
+    mu, sd = s.mean(), s.std()
+    snss_loop, sauc_loop, aucf_loop = [], [], []
+    for sample in shuffled_negative_trials(bank, fix, "snss", plan):
+        neg = s[sample.points[:, 1], sample.points[:, 0]]
+        snss_loop.append((pos.mean() - mu) / sd - (neg.mean() - mu) / sd)
+    for sample in shuffled_negative_trials(bank, fix, "sauc", plan):
+        sauc_loop.append(_grid_auc_one_trial(pos, s[sample.points[:, 1], sample.points[:, 0]]))
+    for sample in uniform_negative_trials(fix, "auc_f", plan):
+        aucf_loop.append(_grid_auc_one_trial(pos, s[sample.points[:, 1], sample.points[:, 0]]))
+    np.testing.assert_allclose(snss_trials(s, fix, bank, plan), snss_loop, rtol=0, atol=1e-12)
+    assert sauc(s, fix, bank, plan).value == pytest.approx(np.mean(sauc_loop), rel=0, abs=1e-12)
+    assert auc_f(s, fix, plan).value == pytest.approx(np.mean(aucf_loop), rel=0, abs=1e-12)
+
+
+def test_roc_is_the_one_row_case_with_ties_on_the_grid(tie_case):
+    s, fix, _ = tie_case
+    pos = s[fix.points[:, 1], fix.points[:, 0]]
+    neg = s.ravel()[::5]
+    curve = roc_from_samples(pos, neg)
+    assert auc_of_curve(curve) == pytest.approx(_grid_auc_one_trial(pos, neg), rel=0, abs=1e-12)
+    # a value exactly on a threshold counts as salient at that threshold
+    assert roc_from_samples([1.0], [0.0]).tpr[0] == 1.0
+    assert roc_from_samples([0.5], [curve.thresholds[3]]).fpr[3] == 1.0

@@ -12,13 +12,14 @@ from saleval.metrics_histogram import (
     hist_at_points,
     jsd,
     semd,
+    semd_trials,
     sjsd,
     sjsd_trials,
     sskld,
     sskld_trials,
     symmetric_kld,
 )
-from saleval.shuffle import TrialPlan, build_shuffle_bank
+from saleval.shuffle import TrialPlan, build_shuffle_bank, shuffled_negative_trials
 
 
 def _hist(mass, normalizer=1):
@@ -279,3 +280,59 @@ def test_shuffled_trials_bit_reproducible():
     plan = TrialPlan(num_trials=15, master_seed=8)
     assert np.array_equal(sskld_trials(g, fix, bank, plan), sskld_trials(g, fix, bank, plan))
     assert np.array_equal(sjsd_trials(g, fix, bank, plan), sjsd_trials(g, fix, bank, plan))
+
+
+def _one_trial_masses(vals, bins, normalizer):
+    # per-value binning written out: floor into uniform bins, 1.0 in the last
+    idx = [min(int(np.floor(v * bins)), bins - 1) for v in vals]
+    return np.array([idx.count(b) for b in range(bins)]) / normalizer
+
+
+@pytest.mark.parametrize("samples", [None, 7, 40])
+@pytest.mark.parametrize("bins", [8, 16])
+def test_batched_trials_match_a_loop_over_trials(tie_case, samples, bins):
+    s, fix, bank = tie_case
+    plan = TrialPlan(num_trials=9, samples_per_trial=samples, master_seed=5)
+    eps, d = 1e-9, GroundDistanceSpec(saturation=3)
+    edges, n = np.linspace(0.0, 1.0, bins + 1), len(fix)
+    pos = s[fix.points[:, 1], fix.points[:, 0]]
+    p = _one_trial_masses(pos, bins, n)
+    mu, sd = s.mean(), s.std()
+
+    def negatives(metric_id):
+        for sample in shuffled_negative_trials(bank, fix, metric_id, plan):
+            neg = s[sample.points[:, 1], sample.points[:, 0]]
+            yield (pos.mean() - mu) / sd - (neg.mean() - mu) / sd, _one_trial_masses(neg, bins, n)
+
+    signs, sklds = [], []
+    for snss_val, q in negatives("sskld"):
+        signs.append(np.sign(snss_val))
+        sklds.append(0.5 * np.sum((p - q) * np.log((p + eps) / (q + eps))))
+    sjsds = []
+    for _, q in negatives("sjsd"):
+        pm, qm = p / p.sum(), q / q.sum()
+        mid = 0.5 * (pm + qm)
+        terms = [a * np.log2(a / m) for masses in (pm, qm) for a, m in zip(masses, mid) if a > 0]
+        sjsds.append(np.sqrt(0.5 * sum(terms)))
+    semds = [emd_hat(ValueHistogram(edges, p, n), ValueHistogram(edges, q, n), d) for _, q in negatives("semd")]
+
+    signs, sklds = np.array(signs), np.array(sklds)
+    close = dict(rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sskld_trials(s, fix, bank, plan, bins, eps), signs * sklds, **close)
+    per_trial = sskld(s, fix, bank, plan, bins, eps, "per-trial").value
+    assert per_trial == pytest.approx(np.mean(signs * sklds), **{"rel": 0, "abs": 1e-12})
+    snss_mean = np.mean([v for v, _ in negatives("sskld")])
+    aggregate = sskld(s, fix, bank, plan, bins, eps, "aggregate").value
+    assert aggregate == pytest.approx(np.sign(snss_mean) * sklds.mean(), rel=0, abs=1e-12)
+    np.testing.assert_allclose(sjsd_trials(s, fix, bank, plan, bins), sjsds, **close)
+    np.testing.assert_allclose(semd_trials(s, fix, bank, plan, bins, d), semds, **close)
+
+
+def test_hist_is_the_one_row_case_with_values_on_edges(tie_case):
+    s, fix, _ = tie_case
+    h = hist_at_points(s, fix.points, bins=16)
+    vals = s[fix.points[:, 1], fix.points[:, 0]]
+    np.testing.assert_array_equal(h.mass, _one_trial_masses(vals, 16, len(fix)))
+    # a value exactly on an inner edge opens the next bin; 1.0 closes the last
+    edge = hist_at_points(np.array([[0.25, 1.0]]), [[0, 0], [1, 0]], bins=4)
+    assert edge.mass.tolist() == [0.0, 0.5, 0.0, 0.5]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from saleval import shuffle
 from saleval.maps import FixationSet
 from saleval.shuffle import (
     ShuffleBank,
@@ -182,3 +183,39 @@ def test_trials_are_independent_and_indexed():
     assert any(
         not np.array_equal(samples[0].points, s.points) for s in samples[1:]
     )
+
+
+def test_shuffled_draws_are_memoized_without_changing_them(monkeypatch):
+    bank = _bank()
+    fs = FixationSet("a", [[1, 1], [2, 2], [3, 3]], (10, 10))
+    plan = TrialPlan(num_trials=6, samples_per_trial=4, master_seed=11)
+    pool = pooled_fixations(bank, "a")
+    seeds = [derive_trial_seed(11, "a", "sauc", t) for t in range(6)]
+    fresh = [pool[np.random.Generator(np.random.PCG64(s)).integers(0, len(pool), size=4)] for s in seeds]
+    constructions = []
+    real_rng = shuffle._rng
+    monkeypatch.setattr(shuffle, "_rng", lambda seed: constructions.append(seed) or real_rng(seed))
+    shuffle._shuffled_indices.cache_clear()
+    cold = [s.points for s in shuffled_negative_trials(bank, fs, "sauc", plan)]
+    warm = [s.points for s in shuffled_negative_trials(bank, fs, "sauc", plan)]
+    assert constructions == seeds  # the second pass built no generator
+    for want, a, b in zip(fresh, cold, warm):
+        assert np.array_equal(want, a) and np.array_equal(want, b)
+    # asking for the trials in another order gives the same draws
+    shuffle._shuffled_indices.cache_clear()
+    backwards = [sample_shuffled_nonfixated(bank, "a", 4, s).points for s in reversed(seeds)]
+    assert all(np.array_equal(w, b) for w, b in zip(fresh, reversed(backwards)))
+
+
+def test_memoized_draws_are_read_only_and_keyed_by_pool_and_n():
+    shuffle._shuffled_indices.cache_clear()
+    idx = shuffle._shuffled_indices(99, 5, 3)
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0] = 0
+    assert shuffle._shuffled_indices(99, 5, 3) is idx
+    other_pool = shuffle._shuffled_indices(99, 50, 3)
+    other_n = shuffle._shuffled_indices(99, 5, 4)
+    assert shuffle._shuffled_indices.cache_info().currsize == 3
+    assert other_pool is not idx and other_n is not idx and other_n.shape == (4,)
+    assert np.array_equal(other_pool, np.random.Generator(np.random.PCG64(99)).integers(0, 50, size=3))
