@@ -9,6 +9,7 @@ rank the same models.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import defaultdict
 from typing import Mapping, Sequence
@@ -98,12 +99,22 @@ def build_rankings(agg_rows, keys: tuple[str, ...] = ("distortion_type", "distor
 
 
 def rank_by_score(scores: Mapping[str, float]) -> dict[str, float]:
-    """Ranks from scores, 1 = best; ties share their average rank."""
-    from scipy.stats import rankdata
+    """Ranks from scores, 1 = best; ties share their average rank.
 
+    A tied run spanning 1-based sorted positions first..last gets rank
+    (first + last) / 2, the mean of the run and exact in floating point. A
+    NaN score makes every rank NaN, as a NaN propagates through ranking.
+    """
     models = sorted(scores)
-    ranks = rankdata([-scores[m] for m in models], method="average")
-    return dict(zip(models, ranks.tolist()))
+    keys = [-float(scores[m]) for m in models]
+    if any(math.isnan(k) for k in keys):
+        return dict.fromkeys(models, math.nan)
+    first: dict[float, int] = {}
+    last: dict[float, int] = {}
+    for position, key in enumerate(sorted(keys), start=1):
+        first.setdefault(key, position)
+        last[key] = position
+    return {m: (first[k] + last[k]) / 2 for m, k in zip(models, keys)}
 
 
 def kendalls_w(rankings: Sequence[Mapping[str, float]]) -> float:

@@ -3,9 +3,10 @@
 Every sampling call is a pure function of its inputs plus a 64-bit seed;
 the generator is numpy's PCG64. Per-trial seeds derive from a stable hash
 over (master_seed, image_id, metric_id, trial_index), so any run can be
-replayed bit-for-bit from the recorded plan. Because a shuffled draw
-depends only on its seed, the pool size and n, it is memoized: scoring
-the same image again under another model or blur level reuses it.
+replayed bit-for-bit from the recorded plan. Because a draw depends only
+on its seed and its source (the pool size, or the frame and the fixated
+pixels) and n, it is memoized: scoring the same image again under another
+model or blur level reuses it.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-# Shuffled draws depend only on (seed, pool size, n), not on the model or the
-# blur level being scored, so one image's draws are made once and reused by
-# every candidate. The size covers one image's seeds for the six per-trial
-# metrics at the default 100 trials (five of them draw here); batches run
-# image by image, so an image's draws stay cached while its pairs are scored.
+# Draws depend only on their seed, source and n, not on the model or the blur
+# level being scored, so one image's draws are made once and reused by every
+# candidate. The size covers one image's seeds for the six per-trial metrics
+# at the default 100 trials (five draw shuffled points, auc_f uniform ones);
+# batches run image by image, so an image's draws stay cached while its pairs
+# are scored.
 _DRAW_CACHE_SIZE = 6 * 100
 
 
@@ -169,8 +171,19 @@ def sample_uniform_nonfixated(
     if n < 1:
         raise ValueError("n must be >= 1")
     w, h = fixations.frame
+    return NegativeSample(_uniform_points(seed, w, h, fixations.points.tobytes(), n), trial_index)
+
+
+@functools.lru_cache(maxsize=_DRAW_CACHE_SIZE)
+def _uniform_points(seed: int, w: int, h: int, fixated_xy: bytes, n: int) -> np.ndarray:
+    """n distinct non-fixated pixels as read-only (n, 2) points.
+
+    fixated_xy is the bytes of the (N, 2) int64 fixation array, which makes
+    the fixated pixels part of the cache key.
+    """
     total = w * h
-    fixated = np.unique(fixations.points[:, 1] * w + fixations.points[:, 0])
+    pts = np.frombuffer(fixated_xy, dtype=np.int64).reshape(-1, 2)
+    fixated = np.unique(pts[:, 1] * w + pts[:, 0])
     eligible = total - fixated.size
     if n > eligible:
         raise ValueError(f"requested {n} non-fixated pixels but only {eligible} exist")
@@ -193,7 +206,9 @@ def sample_uniform_nonfixated(
             picked.append(draw)
             have += draw.size
         chosen = np.concatenate(picked)
-    return NegativeSample(np.column_stack((chosen % w, chosen // w)), trial_index)
+    points = np.column_stack((chosen % w, chosen // w))
+    points.setflags(write=False)
+    return points
 
 
 def sample_shuffled_nonfixated(

@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +194,27 @@ def test_strict_flag_promotes_missing(tmp_path):
     ]
     assert main(args) == 0  # permissive by default
     assert main(args + ["--strict"]) == 1
+
+
+def test_manifest_aggregate_and_rank_never_load_scipy(dataset, tmp_path):
+    # scipy is loaded by the blur and the oracles only; reading records,
+    # aggregating and ranking must not pay its import
+    assert _evaluate(dataset, tmp_path / "out") == 0
+    records = str(tmp_path / "out" / "records.csv")
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import saleval
+        from saleval.cli import main
+        saleval.load_manifest({str(dataset / "manifest.json")!r})
+        assert main(["aggregate", "--records", {records!r}, "--out", {str(tmp_path / "agg")!r}]) == 0
+        assert main(["rank", "--records", {records!r}, {records!r}, "--out", {str(tmp_path / "rk")!r}]) == 0
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "rk" / "kendall.csv").is_file()

@@ -61,6 +61,41 @@ def test_resize_round_trip_close():
     assert np.abs(back - m).mean() < 0.01
 
 
+def _map_coordinates_resize(m, target_w, target_h):
+    from scipy import ndimage
+
+    h, w = m.shape
+    ys = np.clip((np.arange(target_h) + 0.5) * (h / target_h) - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(target_w) + 0.5) * (w / target_w) - 0.5, 0.0, w - 1.0)
+    grid = np.meshgrid(ys, xs, indexing="ij")
+    return np.maximum(ndimage.map_coordinates(m, grid, order=1, mode="nearest"), 0.0)
+
+
+@pytest.mark.parametrize("levels", [255, 65535])
+@pytest.mark.parametrize(
+    "shape, target",
+    [
+        ((48, 64), (32, 24)),  # 2x down: weights of exactly 0.5
+        ((48, 64), (16, 12)),  # 4x down
+        ((12, 16), (64, 48)),  # 4x up
+        ((40, 52), (37, 29)),  # non-integer factors both ways
+        ((1, 9), (5, 3)),  # 1-pixel source axis
+        ((7, 1), (1, 11)),  # 1-pixel axes on both sides
+        ((6, 5), (5, 6)),
+        ((9, 13), (13, 9)),
+    ],
+)
+def test_resize_is_map_coordinates_bit_for_bit(levels, shape, target):
+    # quantized like a PGM read: write_pgm's np.rint turns any last-bit
+    # difference on a 0.5 weight into a one-level change, so equality is exact
+    rng = np.random.default_rng(levels + shape[0] * 100 + target[0])
+    for _ in range(20):
+        m = rng.integers(0, levels + 1, size=shape) / levels
+        assert np.array_equal(resize_map(m, *target), _map_coordinates_resize(m, *target))
+    m = rng.integers(0, levels + 1, size=shape) / levels
+    assert np.array_equal(resize_map(m, shape[1], shape[0]), m)
+
+
 def test_resize_rejects_zero_target():
     with pytest.raises(ValueError):
         resize_map(np.ones((2, 2)), 0, 2)

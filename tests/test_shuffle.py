@@ -13,6 +13,7 @@ from saleval.shuffle import (
     sample_shuffled_nonfixated,
     sample_uniform_nonfixated,
     shuffled_negative_trials,
+    uniform_negative_trials,
 )
 
 
@@ -219,3 +220,49 @@ def test_memoized_draws_are_read_only_and_keyed_by_pool_and_n():
     assert shuffle._shuffled_indices.cache_info().currsize == 3
     assert other_pool is not idx and other_n is not idx and other_n.shape == (4,)
     assert np.array_equal(other_pool, np.random.Generator(np.random.PCG64(99)).integers(0, 50, size=3))
+
+
+def test_uniform_draws_are_memoized_without_changing_them(monkeypatch):
+    fs = FixationSet("a", [[3, 3], [4, 4], [0, 1]], (9, 7))
+    # pinned from the unmemoized sampler: 6 of 60 free pixels takes the
+    # rejection branch, 20 of 60 the permutation branch
+    rejection = [[6, 1], [6, 4], [5, 0], [4, 1], [2, 2], [1, 2]]
+    permutation = [[7, 0], [1, 5], [4, 3], [3, 0], [1, 2], [0, 3], [0, 4], [3, 1], [5, 0],
+                   [5, 1], [5, 5], [0, 5], [6, 1], [0, 0], [2, 6], [6, 2], [1, 1], [3, 2],
+                   [5, 3], [3, 4]]
+    constructions = []
+    real_rng = shuffle._rng
+    monkeypatch.setattr(shuffle, "_rng", lambda seed: constructions.append(seed) or real_rng(seed))
+    shuffle._uniform_points.cache_clear()
+    for _ in range(2):
+        assert sample_uniform_nonfixated(fs, 6, seed=2024).points.tolist() == rejection
+        assert sample_uniform_nonfixated(fs, 20, seed=2024, trial_index=3).points.tolist() == permutation
+    assert constructions == [2024, 2024]  # the second pass built no generator
+    plan = TrialPlan(num_trials=5, samples_per_trial=4, master_seed=7)
+    cold = [s.points for s in uniform_negative_trials(fs, "auc_f", plan)]
+    warm = [s.points for s in uniform_negative_trials(fs, "auc_f", plan)]
+    assert all(a is b for a, b in zip(cold, warm))
+    assert len(constructions) == 2 + 5
+
+
+def test_memoized_uniform_draws_are_read_only_and_keyed_by_fixations_frame_and_n():
+    shuffle._uniform_points.cache_clear()
+    fs = FixationSet("a", [[1, 1], [2, 2]], (16, 16))
+    pts = sample_uniform_nonfixated(fs, 5, seed=3).points
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0
+    # another fixation set with the same id, another frame, another n
+    moved = FixationSet("a", [[1, 1], [2, 3]], (16, 16))
+    wider = FixationSet("a", [[1, 1], [2, 2]], (17, 16))
+    others = (
+        sample_uniform_nonfixated(moved, 5, seed=3),
+        sample_uniform_nonfixated(wider, 5, seed=3),
+        sample_uniform_nonfixated(fs, 6, seed=3),
+    )
+    assert shuffle._uniform_points.cache_info().currsize == 4
+    for sample, source in zip(others, (moved, wider, fs)):
+        fresh = shuffle._uniform_points.__wrapped__(
+            3, *source.frame, source.points.tobytes(), len(sample.points)
+        )
+        assert np.array_equal(sample.points, fresh)

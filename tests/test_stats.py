@@ -181,6 +181,25 @@ def test_rank_by_score_ties_share_average():
     assert ranks == {"a": 1.5, "b": 1.5, "c": 3.0}
 
 
+def test_rank_by_score_matches_rankdata_average():
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(4)
+    for trial in range(500):
+        n = int(rng.integers(1, 25))
+        # few distinct values make long tied runs; -0.0 ties with 0.0
+        values = rng.integers(-3, 4, n) / 4.0 if trial % 2 else rng.random(n)
+        scores = {f"m{i:02d}": float(v) for i, v in enumerate(values)}
+        if trial % 5 == 0:
+            scores["m00"] = -0.0
+        models = sorted(scores)
+        want = rankdata([-scores[m] for m in models], method="average").tolist()
+        assert rank_by_score(scores) == dict(zip(models, want))
+    nan_ranks = rank_by_score({"a": 1.0, "b": float("nan"), "c": 0.5})
+    assert all(np.isnan(r) for r in nan_ranks.values())
+    assert np.isnan(rankdata([-1.0, np.nan, -0.5], method="average")).all()
+
+
 def _std_records(scale=1.0):
     # 2 models x 3 types x 2 levels, metric "semd" scaled on request
     vals = {
