@@ -105,7 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated metric subset, or 'all' (default: the shuffled five)",
     )
     ev.add_argument("--sign-mode", choices=("per-trial", "aggregate"), default="per-trial")
-    ev.add_argument("--jobs", type=int, default=1, help="parallel worker processes (default 1)")
+    ev.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel worker processes, >= 1 (default 1); at 1, large maps are "
+        "blurred on all the CPUs the process may use",
+    )
     ev.add_argument("--strict", action="store_true", help="missing scores fail the run")
 
     ag = sub.add_parser("aggregate", help="re-derive aggregate tables from a record CSV")

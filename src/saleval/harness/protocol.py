@@ -9,6 +9,7 @@ and never into batch aborts.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -67,8 +68,10 @@ ALL_METRICS = tuple(_METRICS)
 def _blur_levels(sweep) -> list[float]:
     """The sweep's distinct sigmas, ascending; the smallest must be exactly 0."""
     levels = sorted(set(sweep))
-    if not levels or levels[0] != 0:
-        raise ValueError(f"blur sweep must be non-empty, contain 0 and be >= 0: {tuple(sweep)}")
+    if not levels or levels[0] != 0 or not all(map(math.isfinite, levels)):
+        raise ValueError(
+            f"blur sweep must be non-empty, contain 0 and be finite and >= 0: {tuple(sweep)}"
+        )
     return levels
 
 
@@ -77,8 +80,9 @@ class EvalConfig:
     """Knobs of the evaluation protocol; echoed verbatim into every report.
 
     The blur sweep must be non-empty, contain 0 (so "no blur" is always a
-    candidate) and hold no negative sigma; a config that breaks this rule,
-    names an unknown metric or an unknown sign mode is refused when built.
+    candidate) and hold no negative or non-finite sigma; a config that
+    breaks this rule, names an unknown metric or an unknown sign mode is
+    refused when built.
     """
 
     trials: int = 100
@@ -202,10 +206,14 @@ def evaluate_batch(
 ) -> list[EvaluationRecord]:
     """Run the full protocol over every (model, image) pair of a manifest.
 
-    Work units are pure, so they may fan out to worker processes; results
-    are sorted afterwards and do not depend on execution order. Needs at
-    least 2 images (the shuffled metrics' negative source).
+    Work units are pure, so they may fan out to ``jobs`` worker processes
+    (at least 1); results are sorted afterwards and do not depend on
+    execution order. At ``jobs=1`` each large-map blur also runs on the
+    CPUs this process may use (see ``maps.gaussian_blur``). Needs at least
+    2 images (the shuffled metrics' negative source).
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1: {jobs}")
     if len(manifest.images) < 2:
         raise ValueError("evaluation needs at least 2 images")
     banks: dict[tuple[int, int], ShuffleBank] = {}

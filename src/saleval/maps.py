@@ -4,11 +4,25 @@ A saliency map is a plain 2-D float64 array (rows = y, columns = x) of
 finite, non-negative values. A "normalized" map additionally has peak
 value 1 unless it is all-zero. Fixations are integer pixel coordinates
 stored as (N, 2) arrays of (x, y) = (column, row).
+
+The Gaussian blur is the costliest transform: the blur search blurs every
+model map once per sigma of the sweep. It stays ``scipy.ndimage.convolve1d``
+because its summation order is part of the reported scores. On maps of at
+least ``_BAND_MIN_PIXELS`` pixels, outside pool workers, it runs in row and
+column bands on the CPUs the process may use. Banding is exact: convolve1d
+gives each line the same arithmetic whatever other lines its array holds,
+so the bands write the bits one whole-array call would. The floor comes
+from a measured break-even: below it, starting and joining the band threads
+costs about what it saves.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,33 +125,122 @@ def gaussian_blur(m, sigma: float) -> np.ndarray:
     Kernel radius is ceil(3 * sigma). Near the borders the kernel is
     renormalized by the mass that falls inside the frame, so a constant map
     blurs to itself and interior-supported mass is preserved. sigma = 0
-    returns the input unchanged.
+    returns the input unchanged; a negative or non-finite sigma is refused.
 
     The convolution stays ``scipy.ndimage.convolve1d``, imported here so
     that only blurring loads scipy. Its summation order is part of the
     scores: a numpy banded-matrix blur differs by about 1e-15, which is
     enough to move synthesized density maps across ``np.rint`` ties and
-    change the seed-0 benchmark references.
+    change the seed-0 benchmark references. A numpy shifted-add form in
+    convolve1d's own order (``w0 * x``, then ``(x[i-j] + x[i+j]) * w_j`` for
+    j = r..1) is bit-identical but ran 3-4x slower.
+
+    Maps of at least ``_BAND_MIN_PIXELS`` pixels are blurred in bands on the
+    CPUs this process may run on, unless it is a pool worker (see
+    ``_in_bands``): the row pass as row bands, the column pass, the
+    normalizer division and the peak clamp as column bands. convolve1d
+    computes each line with the same arithmetic whatever other lines its
+    array holds, and every band writes its own slice of a shared output, so
+    the result is bit-identical to one whole-array call per pass.
     """
     from scipy.ndimage import convolve1d
 
     m = as_map(m)
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite: {sigma}")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    if sigma == 0 or m.max() == m.min():
+    peak = m.max()
+    if sigma == 0 or peak == m.min():
         # constant maps blur to themselves exactly; skipping the convolution
         # avoids float ripple that would fake variance downstream
         return m.copy()
     k = _gaussian_kernel(sigma)
-    out = convolve1d(m, k, axis=1, mode="constant")
-    out = convolve1d(out, k, axis=0, mode="constant")
     # in-frame kernel mass, separable: outer(ny, nx)
     ny = convolve1d(np.ones(m.shape[0]), k, mode="constant")
     nx = convolve1d(np.ones(m.shape[1]), k, mode="constant")
-    out /= np.outer(ny, nx)
-    # each output pixel is a convex combination of inputs, so the input
-    # peak bounds it; clamp off the float dust the division can add
-    return np.minimum(out, m.max(), out=out)
+    tmp = np.empty_like(m)
+    out = np.empty_like(m)
+
+    def row_band(rows: slice):
+        convolve1d(m[rows], k, axis=1, mode="constant", output=tmp[rows])
+
+    def column_band(cols: slice):
+        convolve1d(tmp[:, cols], k, axis=0, mode="constant", output=out[:, cols])
+        # the band's tmp columns are consumed: reuse them for its normalizer
+        norm = np.multiply.outer(ny, nx[cols], out=tmp[:, cols])
+        band = out[:, cols]
+        band /= norm
+        # each output pixel is a convex combination of inputs, so the input
+        # peak bounds it; clamp off the float dust the division can add
+        np.minimum(band, peak, out=band)
+
+    _in_bands(((row_band, m.shape[0]), (column_band, m.shape[1])), m.size)
+    return out
+
+
+# Break-even, measured on a 2-core host (Python 3.11, scipy 1.17) with serial
+# and banded blurs interleaved over the sigmas 1-32. Starting and joining the
+# band threads costs about 0.5-1 ms per blur there; a form that started a
+# thread per pass lost 0.5-4 ms per blur at 128x96 and 192x144, and at
+# 256x192 this one lost up to 1.5 ms per blur for sigma <= 4 and saved 10%
+# of the sweep. It saved 19% of the sweep
+# at 384x256 and 32% at 768x512. The floor sits above 256x192, where the
+# saving is within run-to-run spread; smaller maps run as one band.
+_BAND_MIN_PIXELS = 384 * 256
+# On the same host, shared with other virtual machines, the two threads of a
+# 768x512 pass took 0.54-2.02 times each other's time (10th-90th percentile);
+# smaller bands taken in turn let the faster thread take up the slack.
+_BANDS_PER_CPU = 4
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _in_bands(passes, pixels: int) -> None:
+    """Run each pass ``(work, lines)`` as ``work(slice)`` over contiguous bands.
+
+    The bands of one pass cover ``range(lines)``; a pass ends before the
+    next starts. Below ``_BAND_MIN_PIXELS``, and in a process started by
+    ``multiprocessing`` (a worker of ``evaluate_batch``'s pool, whose
+    siblings already keep the CPUs busy), each pass is one band on the
+    calling thread. Otherwise a pass is cut into up to ``_BANDS_PER_CPU``
+    bands per CPU this process may run on, and the calling thread and one
+    thread per other CPU take bands in turn until none is left, so a thread
+    whose CPU is slow to run it leaves its share to the others. The threads
+    are started for this call, so no executor outlives it (or is inherited
+    by a forked pool worker). Every thread's result is read, so an
+    exception in any band propagates.
+    """
+    worker = multiprocessing.parent_process() is not None
+    cpus = 1 if pixels < _BAND_MIN_PIXELS or worker else _usable_cpus()
+    if cpus == 1:
+        for work, lines in passes:
+            work(slice(0, lines))
+        return
+    with ThreadPoolExecutor(max_workers=cpus - 1) as pool:
+        for work, lines in passes:
+            bands = min(lines, _BANDS_PER_CPU * cpus)
+            edges = [lines * i // bands for i in range(bands + 1)]
+            pending = iter([slice(lo, hi) for lo, hi in zip(edges, edges[1:])])
+            lock = threading.Lock()
+
+            def take_bands():
+                while True:
+                    with lock:
+                        band = next(pending, None)
+                    if band is None:
+                        return
+                    work(band)
+
+            futures = [pool.submit(take_bands) for _ in range(min(cpus, bands) - 1)]
+            take_bands()
+            for future in futures:
+                future.result()
 
 
 def invert_map(m) -> np.ndarray:

@@ -149,6 +149,21 @@ def test_unknown_flag_is_user_error(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--blur-sweep", "0,inf"], "blur sweep"),
+        (["--blur-sweep", "0,nan"], "blur sweep"),
+        (["--jobs", "0"], "jobs"),
+        (["--jobs", "-3"], "jobs"),
+    ],
+)
+def test_bad_blur_sweep_or_jobs_is_user_error(dataset, tmp_path, capsys, extra, message):
+    assert _evaluate(dataset, tmp_path / "out", extra) == 1
+    err = capsys.readouterr().err
+    assert "saleval: error:" in err and message in err
+
+
 def test_unknown_metric_is_user_error():
     assert main(["evaluate", "--manifest", "x", "--out", "y", "--metrics", "vibes"]) == 1
 

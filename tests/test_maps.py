@@ -1,8 +1,11 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from saleval import maps
 from saleval.maps import (
     FWHM_TO_SIGMA,
     FixationSet,
@@ -133,8 +136,94 @@ def test_blur_constant_map():
 
 
 def test_blur_negative_sigma_rejected():
-    with pytest.raises(ValueError):
-        gaussian_blur(np.ones((3, 3)), -1.0)
+    for sigma in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            gaussian_blur(np.ones((3, 3)), sigma)
+
+
+def _two_pass_blur(m, sigma):
+    # the blur as one whole-array convolve1d per axis, one division by the
+    # outer product of the in-frame kernel masses, then the clamp at the peak
+    from scipy.ndimage import convolve1d
+
+    radius = math.ceil(3 * sigma)
+    x = np.arange(-radius, radius + 1, dtype=np.float64)
+    k = np.exp(-0.5 * (x / sigma) ** 2)
+    k /= k.sum()
+    out = convolve1d(convolve1d(m, k, axis=1, mode="constant"), k, axis=0, mode="constant")
+    ny = convolve1d(np.ones(m.shape[0]), k, mode="constant")
+    nx = convolve1d(np.ones(m.shape[1]), k, mode="constant")
+    return np.minimum(out / np.outer(ny, nx), m.max())
+
+
+_FLOOR = maps._BAND_MIN_PIXELS
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (512, 768),  # the hires frame
+        (1, _FLOOR),  # one row: the row pass has fewer lines than bands
+        (_FLOOR, 1),  # one column
+        (3, _FLOOR // 3 + 1),  # kernel radius larger than the frame height
+        (256, _FLOOR // 256 - 1),  # just below the floor: one band
+        (256, _FLOOR // 256),  # at the floor: banded
+        (256, _FLOOR // 256 + 1),
+    ],
+)
+@pytest.mark.parametrize("sigma", [0.2, 1.0, 3.7, 32.0])
+def test_banded_blur_is_two_pass_convolve1d_bit_for_bit(shape, sigma):
+    m = np.random.default_rng(shape[0] + shape[1]).random(shape) ** 3
+    assert np.array_equal(gaussian_blur(m, sigma), _two_pass_blur(m, sigma))
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_banded_blur_with_more_bands_than_lines(monkeypatch, cpus):
+    # every map banded, whatever this machine's CPU count: bands of one line,
+    # more bands than rows or columns, kernels wider than the whole frame
+    monkeypatch.setattr(maps, "_BAND_MIN_PIXELS", 1)
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(cpus)
+    for shape in ((1, 9), (9, 1), (2, 5), (5, 2), (7, 13), (40, 30)):
+        for sigma in (0.2, 1.0, 3.7, 32.0):
+            m = rng.random(shape) ** 3
+            assert np.array_equal(gaussian_blur(m, sigma), _two_pass_blur(m, sigma))
+
+
+def test_pool_worker_process_blurs_on_one_thread(monkeypatch):
+    # pool workers share the CPUs with their siblings: one band, calling thread
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(maps.multiprocessing, "parent_process", lambda: object())
+    seen = []
+    maps._in_bands(((lambda band: seen.append((band, threading.get_ident())), 512),), 10**9)
+    assert seen == [(slice(0, 512), threading.get_ident())]
+
+
+def test_concurrent_blurs_match_serial():
+    # more calling threads than cores, each blurring banded maps of its own
+    rng = np.random.default_rng(8)
+    jobs = [(rng.random((256, 512)), sigma) for sigma in (1.0, 4.0, 16.0, 32.0, 2.0, 8.0)]
+    expected = [gaussian_blur(m, sigma) for m, sigma in jobs]
+    results = [[] for _ in jobs]
+
+    def run(i):
+        for _ in range(3):
+            results[i].append(gaussian_blur(*jobs[i]))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, expected):
+        assert len(got) == 3
+        assert all(np.array_equal(g, want) for g in got)
 
 
 def test_invert_basics():

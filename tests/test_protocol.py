@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from saleval import maps
 from saleval.harness import (
     EvalConfig,
     evaluate_batch,
@@ -165,7 +172,7 @@ def test_config_validates_metrics():
     with pytest.raises(ValueError):
         EvalConfig(sign_mode="sometimes")
     # the blur-sweep rule is enforced when the config is built, not mid-batch
-    for sweep in ((), (1.0, 2.0), (-1.0, 0.0)):
+    for sweep in ((), (1.0, 2.0), (-1.0, 0.0), (0.0, float("inf")), (0.0, float("nan"))):
         with pytest.raises(ValueError, match="blur sweep"):
             EvalConfig(blur_sweep=sweep)
 
@@ -180,3 +187,41 @@ def test_plan_must_run_the_configured_trials(tmp_path):
         evaluate_pair(np.ones((36, 48)), image, fix, None, bank, plan, config)
     with pytest.raises(ValueError, match="trials"):
         evaluate_batch(manifest, config, plan)
+
+
+def test_evaluate_batch_refuses_jobs_below_one(tmp_path):
+    manifest, _ = _tiny_setup(tmp_path)
+    plan = TrialPlan(num_trials=3, master_seed=5)
+    config = EvalConfig(trials=3, blur_sweep=(0.0,), metrics=("sauc",))
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            evaluate_batch(manifest, config, plan, jobs=jobs)
+
+
+def test_pool_after_banded_blurs_matches_serial(tmp_path):
+    # a frame at the banding floor: the parent runs threaded blurs (synth and
+    # the jobs=1 batch) before the jobs=2 pool forks its workers; a child
+    # process bounds the run, so a worker stuck on a lock fails the test
+    width, height = 384, maps._BAND_MIN_PIXELS // 384
+    script = textwrap.dedent(
+        f"""
+        from saleval.harness import EvalConfig, evaluate_batch, load_manifest, synth_dataset
+        from saleval.shuffle import TrialPlan
+
+        path = synth_dataset({str(tmp_path / "ds")!r}, num_images=3, frame=({width}, {height}),
+                             seed=4, fixations_per_image=10, models=("gt_copy", "center_gauss"))
+        manifest = load_manifest(path)
+        plan = TrialPlan(num_trials=4, master_seed=9)
+        config = EvalConfig(trials=4, blur_sweep=(0.0, 8.0), metrics=("sauc", "cc", "nss"))
+        serial = evaluate_batch(manifest, config, plan, jobs=1)
+        pooled = evaluate_batch(manifest, config, plan, jobs=2)
+        assert serial == pooled, "pooled records differ"
+        assert len(serial) == 3 * 2 * 3
+        print("same")
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=240)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "same"
