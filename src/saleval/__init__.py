@@ -80,7 +80,6 @@ from .metrics_histogram import (
 from .shuffle import (
     RNG_ALGORITHM,
     SEED_DERIVATION,
-    NegativeSample,
     ShuffleBank,
     TrialPlan,
     build_shuffle_bank,

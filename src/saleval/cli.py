@@ -11,7 +11,6 @@ output directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -22,7 +21,6 @@ import numpy as np
 from .errors import ManifestError
 from .harness import (
     ALL_METRICS,
-    SHUFFLED_METRICS,
     EvalConfig,
     aggregate_scores,
     build_rankings,
@@ -35,7 +33,9 @@ from .harness import (
     read_records,
     synth_dataset,
 )
+from .harness.report import write_rows
 from .harness.stats import GROUP_KEYS
+from .metrics_histogram import SIGN_MODES
 from .shuffle import RNG_ALGORITHM, SEED_DERIVATION, TrialPlan
 
 __all__ = ["main"]
@@ -87,24 +87,29 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="run the full evaluation protocol over a manifest")
     ev.add_argument("--manifest", required=True, help="dataset manifest JSON")
     ev.add_argument("--out", help="output directory (default: $SALEVAL_OUT)")
-    ev.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    ev.add_argument("--trials", type=int, default=100, help="shuffle trials per metric (default 100)")
-    ev.add_argument("--bins", type=int, default=16, help="value-histogram bins (default 16)")
-    ev.add_argument("--epsilon", type=float, default=1e-12, help="KLD epsilon (default 1e-12)")
-    ev.add_argument("--emd-saturation", type=int, default=5, help="EMD ground-distance cap (default 5)")
+    config = EvalConfig()  # the one source of the protocol defaults
+    for flag, kind, default, text in (
+        ("--seed", int, TrialPlan().master_seed, "master seed"),
+        ("--trials", int, config.trials, "shuffle trials per metric"),
+        ("--bins", int, config.bins, "value-histogram bins"),
+        ("--epsilon", float, config.epsilon, "KLD epsilon"),
+        ("--emd-saturation", int, config.emd_saturation, "EMD ground-distance cap"),
+    ):
+        ev.add_argument(flag, type=kind, default=default, help=f"{text} (default {default})")
+    sweep = ",".join(f"{s:g}" for s in config.blur_sweep)
     ev.add_argument(
         "--blur-sweep",
         type=_sigma_list,
-        default=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0),
-        help="comma-separated blur sigmas (default 0,1,2,4,8,16,24,32)",
+        default=config.blur_sweep,
+        help=f"comma-separated blur sigmas (default {sweep})",
     )
     ev.add_argument(
         "--metrics",
         type=_metric_list,
-        default=SHUFFLED_METRICS,
+        default=config.metrics,
         help="comma-separated metric subset, or 'all' (default: the shuffled five)",
     )
-    ev.add_argument("--sign-mode", choices=("per-trial", "aggregate"), default="per-trial")
+    ev.add_argument("--sign-mode", choices=SIGN_MODES, default=config.sign_mode)
     ev.add_argument(
         "--jobs",
         type=int,
@@ -178,26 +183,17 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _write_rows(path: Path, rows) -> None:
-    fields = sorted({k for row in rows for k in row})
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow(["" if row.get(k) is None else row.get(k) for k in fields])
-
-
 def _cmd_aggregate(args) -> int:
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     records = read_records(args.records)
     rows = aggregate_scores(records, group_by=args.group_by)
     path = out / f"aggregate_{args.group_by}.csv"
-    _write_rows(path, rows)
+    write_rows(path, rows)
     try:
         if args.group_by == "distortion":
-            _write_rows(out / "normalized_std_levels.csv", normalized_std_table(records, "levels"))
-            _write_rows(out / "normalized_std_types.csv", normalized_std_table(records, "types"))
+            write_rows(out / "normalized_std_levels.csv", normalized_std_table(records, "levels"))
+            write_rows(out / "normalized_std_types.csv", normalized_std_table(records, "types"))
     except ValueError:
         pass  # single-stratum data has no spread tables
     print(f"wrote {path} ({len(rows)} rows)")
@@ -226,9 +222,9 @@ def _cmd_rank(args) -> int:
         row = {"metric": metric, "n_models": len(models), "n_datasets": len(rankings)}
         row["kendalls_w"] = kendalls_w(rankings) if len(rankings) >= 2 else None
         kendall_rows.append(row)
-    _write_rows(out / "kendall.csv", kendall_rows)
+    write_rows(out / "kendall.csv", kendall_rows)
     for i, rows in enumerate(dataset_rows):
-        _write_rows(out / f"rankings_{i}.csv", build_rankings(rows, keys=()))
+        write_rows(out / f"rankings_{i}.csv", build_rankings(rows, keys=()))
     print(f"wrote {out / 'kendall.csv'} ({len(kendall_rows)} metrics)")
     return 0
 
@@ -278,9 +274,8 @@ def _cmd_validate(_args) -> int:
     worst = 0.0
     for _ in range(200):
         bins = int(rng.integers(2, 9))
-        edges = np.linspace(0, 1, bins + 1)
-        h1 = ValueHistogram(edges, rng.random(bins) * rng.integers(1, 5), 1)
-        h2 = ValueHistogram(edges, rng.random(bins) * rng.integers(1, 5), 1)
+        h1 = ValueHistogram(rng.random(bins) * rng.integers(1, 5), 1)
+        h2 = ValueHistogram(rng.random(bins) * rng.integers(1, 5), 1)
         spec = GroundDistanceSpec(saturation=int(rng.integers(1, 8)))
         worst = max(worst, abs(emd_hat(h1, h2, spec) - emd_brute_oracle(h1, h2, spec)))
     ok &= worst <= 1e-9
@@ -292,8 +287,7 @@ def _cmd_validate(_args) -> int:
     for _ in range(200):
         p = rng.random(8)
         q = rng.random(8)
-        edges = np.linspace(0, 1, 9)
-        got = jsd(ValueHistogram(edges, p, 1), ValueHistogram(edges, q, 1))
+        got = jsd(ValueHistogram(p, 1), ValueHistogram(q, 1))
         pn, qn = p / p.sum(), q / q.sum()
         m = 0.5 * (pn + qn)
         ref = 0.5 * (entropy(pn, m, base=2) + entropy(qn, m, base=2))

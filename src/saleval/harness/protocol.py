@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 from ..errors import DegenerateInputError
 from ..maps import FixationSet, density_from_fixations, gaussian_blur, normalize_map, resize_map
 from ..metrics_fixation import auc_f, auc_s, cc, nss, sauc, sim, snss
-from ..metrics_histogram import GroundDistanceSpec, semd, sjsd, sskld
+from ..metrics_histogram import SIGN_MODES, GroundDistanceSpec, semd, sjsd, sskld
 from ..shuffle import ShuffleBank, TrialPlan, build_shuffle_bank
 from .dataset import DatasetManifest, ImageEntry
 
@@ -97,8 +97,8 @@ class EvalConfig:
         for m in self.metrics:
             if m not in ALL_METRICS:
                 raise ValueError(f"unknown metric: {m}")
-        if self.sign_mode not in ("per-trial", "aggregate"):
-            raise ValueError("sign_mode must be 'per-trial' or 'aggregate'")
+        if self.sign_mode not in SIGN_MODES:
+            raise ValueError(f"sign_mode must be one of {SIGN_MODES}")
         _blur_levels(self.blur_sweep)
 
 

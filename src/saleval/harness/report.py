@@ -1,4 +1,4 @@
-"""Report files: per-record CSV, JSON summary, per-metric ranking CSV.
+"""Report files: per-record CSV, JSON summary, ranking and other row-dict CSVs.
 
 Everything written here is deterministic: records are sorted before
 writing, floats use Python's shortest round-trip repr, and the JSON is
@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .protocol import EvaluationRecord
 
-__all__ = ["RECORD_FIELDS", "emit_report", "read_records"]
+__all__ = ["RECORD_FIELDS", "emit_report", "read_records", "write_rows"]
 
 RECORD_FIELDS = (
     "model",
@@ -31,7 +31,20 @@ RECORD_FIELDS = (
 
 
 def _fmt(value) -> str:
+    # under numpy 2 the repr of an np.float64 is "np.float64(x)", not a number
+    if isinstance(value, float) and type(value) is not float:
+        raise TypeError(f"report value {value!r} is a {type(value).__name__}, not a float")
     return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
+def write_rows(path, rows) -> None:
+    """Write row dicts as CSV: the sorted union of their keys, blank where missing."""
+    fields = sorted({k for row in rows for k in row})
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(fields)
+        for row in rows:
+            writer.writerow([_fmt(row.get(k)) for k in fields])
 
 
 def emit_report(
@@ -94,13 +107,7 @@ def emit_report(
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
 
-    rank_fields = sorted({k for row in rankings for k in row}) if rankings else []
-    with open(paths["rankings"], "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(rank_fields)
-        for row in rankings:
-            writer.writerow([_fmt(row.get(k)) for k in rank_fields])
-
+    write_rows(paths["rankings"], rankings)
     return paths
 
 

@@ -44,7 +44,6 @@ class MetricScore:
     value: float
     metric_id: str
     trials_used: int = 1
-    blur_sigma: float | None = None
 
 
 @dataclass(frozen=True)
@@ -122,8 +121,8 @@ def nss(s, fix: FixationSet) -> float:
 
 
 def _trial_values(s: np.ndarray, negatives) -> np.ndarray:
-    """(T, n) map values at each trial's negative points, one row per trial."""
-    pts = np.stack([sample.points for sample in negatives])
+    """(T, n) map values at each trial's (n, 2) negative points, one row per trial."""
+    pts = np.stack(list(negatives))
     return s[pts[..., 1], pts[..., 0]]
 
 
@@ -132,14 +131,12 @@ def _snss_rows(pos_vals: np.ndarray, neg_vals: np.ndarray, mu: float, sd: float)
     return (pos_vals.mean() - mu) / sd - (neg_vals.mean(axis=-1) - mu) / sd
 
 
-def snss_trials(
-    s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan, metric_id: str = "snss"
-) -> np.ndarray:
+def snss_trials(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan) -> np.ndarray:
     """Per-trial NSS(fixations) - NSS(shuffled negatives)."""
     s = as_map(s)
     _check_frame(s, fix)
     mu, sd = _mean_std(s, "snss")
-    neg = _trial_values(s, shuffled_negative_trials(bank, fix, metric_id, plan))
+    neg = _trial_values(s, shuffled_negative_trials(bank, fix, "snss", plan))
     return _snss_rows(values_at(s, fix.points), neg, mu, sd)
 
 
@@ -223,7 +220,7 @@ def auc_pair_oracle(pos_values, neg_values) -> float:
 
 
 def _trial_mean_auc(s, fix: FixationSet, plan: TrialPlan, metric_id, negatives) -> MetricScore:
-    # negatives yields one NegativeSample per trial; only their source differs per metric
+    # negatives yields one (n, 2) draw per trial; only their source differs per metric
     s = as_map(s)
     _check_frame(s, fix)
     if s.max() > 1.0:

@@ -6,7 +6,9 @@ points: signed shuffled symmetric KLD (SSKLD), shuffled Jensen-Shannon
 distance (SJSD), and shuffled Earth Mover's Distance (SEMD) built on a
 mass-mismatch-penalized EMD with a saturated bin-index ground distance.
 
-Trials are an array axis: a candidate map's negative values form one
+Every histogram here has B >= 2 equal-width bins over [0, 1], the last
+one right-closed, so its bin count alone fixes its binning. Trials are
+an array axis: a candidate map's negative values form one
 (trials, n) array, binned by a single bincount into (trials, bins)
 masses, and SKLD and JSD reduce along the last axis. hist_at_points,
 symmetric_kld and jsd are the one-row case of those same kernels. SEMD
@@ -34,6 +36,7 @@ from .metrics_fixation import (
 from .shuffle import ShuffleBank, TrialPlan, shuffled_negative_trials
 
 __all__ = [
+    "SIGN_MODES",
     "GroundDistanceSpec",
     "ValueHistogram",
     "emd_brute_oracle",
@@ -50,38 +53,31 @@ __all__ = [
     "symmetric_kld",
 ]
 
+# where SSKLD attaches the SNSS sign: to each trial, or once to the trial means
+SIGN_MODES = ("per-trial", "aggregate")
+
 
 @dataclass(frozen=True)
 class ValueHistogram:
-    """Binned distribution of sampled values over [0, 1].
+    """Binned distribution of sampled values over B equal-width bins of [0, 1].
 
     mass holds the per-bin frequencies divided by `normalizer` (the sample
     count the histogram is normalized against), so it sums to 1 when every
     sample both landed in range and counted toward the normalizer.
     """
 
-    bin_edges: np.ndarray
     mass: np.ndarray
     normalizer: int
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=np.float64)
         mass = np.asarray(self.mass, dtype=np.float64)
-        if edges.ndim != 1 or edges.size < 3 or mass.size != edges.size - 1:
-            raise ValueError("need B+1 edges and B masses with B >= 2")
-        # the shared unit edges are valid by construction; per-trial SEMD
-        # histograms reuse them, so they are not checked again each trial
-        if edges is not _EDGE_CACHE.get(mass.size) and (
-            edges[0] != 0.0 or edges[-1] != 1.0 or (np.diff(edges) <= 0).any()
-        ):
-            raise ValueError("bin edges must increase strictly from 0 to 1")
+        if mass.ndim != 1 or mass.size < 2:
+            raise ValueError("mass must be 1-D with B >= 2 bins")
         if (mass < 0).any():
             raise ValueError("bin masses must be >= 0")
         if self.normalizer < 1:
             raise ValueError("normalizer must be >= 1")
-        edges.setflags(write=False)
         mass.setflags(write=False)
-        object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "mass", mass)
 
     @property
@@ -94,11 +90,8 @@ class GroundDistanceSpec:
     """Saturated absolute bin-index distance: d(i, j) = min(|i - j|, saturation)."""
 
     saturation: int = 5
-    kind: str = "abs-bin-index"
 
     def __post_init__(self):
-        if self.kind != "abs-bin-index":
-            raise ValueError(f"unknown ground distance kind: {self.kind}")
         if self.saturation < 1:
             raise ValueError("saturation must be >= 1")
 
@@ -110,18 +103,6 @@ def ground_distance_matrix(bins: int, d: GroundDistanceSpec) -> np.ndarray:
     dist = np.minimum(np.abs(idx[:, None] - idx[None, :]), d.saturation).astype(np.float64)
     dist.setflags(write=False)
     return dist
-
-
-_EDGE_CACHE: dict[int, np.ndarray] = {}
-
-
-def _unit_edges(bins: int) -> np.ndarray:
-    edges = _EDGE_CACHE.get(bins)
-    if edges is None:
-        edges = np.linspace(0.0, 1.0, bins + 1)
-        edges.setflags(write=False)
-        _EDGE_CACHE[bins] = edges
-    return edges
 
 
 def _value_masses(vals: np.ndarray, bins: int, normalizer: int) -> np.ndarray:
@@ -149,13 +130,11 @@ def hist_at_points(s, points, bins: int = 16) -> ValueHistogram:
     if s.max() > 1.0:
         raise ValueError("hist_at_points expects a normalized map")
     n = pts.shape[0]
-    return ValueHistogram(_unit_edges(bins), _value_masses(values_at(s, pts), bins, n), n)
+    return ValueHistogram(_value_masses(values_at(s, pts), bins, n), n)
 
 
 def _check_same_binning(a: ValueHistogram, b: ValueHistogram) -> None:
-    if a.bins != b.bins or (
-        a.bin_edges is not b.bin_edges and not np.array_equal(a.bin_edges, b.bin_edges)
-    ):
+    if a.bins != b.bins:
         raise ValueError("histograms must share the same binning")
 
 
@@ -310,8 +289,8 @@ def sskld(
     as the original. sign_mode picks where the sign attaches: per trial
     (default) or once from the trial-mean SNSS.
     """
-    if sign_mode not in ("per-trial", "aggregate"):
-        raise ValueError("sign_mode must be 'per-trial' or 'aggregate'")
+    if sign_mode not in SIGN_MODES:
+        raise ValueError(f"sign_mode must be one of {SIGN_MODES}")
     snss_vals, skld_vals = _sskld_parts(s, fix, bank, plan, bins, epsilon)
     if sign_mode == "per-trial":
         value = float(np.mean(np.sign(snss_vals) * skld_vals))
@@ -348,9 +327,9 @@ def semd_trials(
 ) -> np.ndarray:
     """Per-trial EMD between the fixated and negative value histograms."""
     _, pos, neg = _shuffled_masses(s, fix, bank, plan, bins, "semd")
-    edges, n = _unit_edges(bins), len(fix)
-    h_pos = ValueHistogram(edges, pos, n)
-    return np.array([emd_hat(h_pos, ValueHistogram(edges, row, n), d) for row in neg])
+    n = len(fix)
+    h_pos = ValueHistogram(pos, n)
+    return np.array([emd_hat(h_pos, ValueHistogram(row, n), d) for row in neg])
 
 
 def semd(

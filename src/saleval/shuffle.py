@@ -3,10 +3,12 @@
 Every sampling call is a pure function of its inputs plus a 64-bit seed;
 the generator is numpy's PCG64. Per-trial seeds derive from a stable hash
 over (master_seed, image_id, metric_id, trial_index), so any run can be
-replayed bit-for-bit from the recorded plan. Because a draw depends only
-on its seed and its source (the pool size, or the frame and the fixated
-pixels) and n, it is memoized: scoring the same image again under another
-model or blur level reuses it.
+replayed bit-for-bit from the recorded plan. A draw is a plain (n, 2)
+int64 array of (x, y) points; the trial generators yield one per trial,
+in trial order. Because a draw depends only on its seed and its source
+(the pool size, or the frame and the fixated pixels) and n, it is
+memoized: scoring the same image again under another model or blur
+level reuses it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .maps import FixationSet
 __all__ = [
     "RNG_ALGORITHM",
     "SEED_DERIVATION",
-    "NegativeSample",
     "ShuffleBank",
     "TrialPlan",
     "build_shuffle_bank",
@@ -96,21 +97,6 @@ class TrialPlan:
 
 
 @dataclass(frozen=True)
-class NegativeSample:
-    """Non-fixated points for one trial, as an (n, 2) array of (x, y)."""
-
-    points: np.ndarray
-    trial_index: int = 0
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.int64)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("negative sample must be an (n, 2) array")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-
-@dataclass(frozen=True)
 class ShuffleBank:
     """Pooled fixations of a whole dataset, all in one coordinate frame.
 
@@ -164,14 +150,12 @@ def pooled_fixations(bank: ShuffleBank, exclude: str) -> np.ndarray:
     return np.concatenate(pools, axis=0)
 
 
-def sample_uniform_nonfixated(
-    fixations: FixationSet, n: int, seed: int, trial_index: int = 0
-) -> NegativeSample:
-    """n distinct pixels drawn uniformly from the non-fixated pixels."""
+def sample_uniform_nonfixated(fixations: FixationSet, n: int, seed: int) -> np.ndarray:
+    """n distinct pixels drawn uniformly from the non-fixated pixels, read-only."""
     if n < 1:
         raise ValueError("n must be >= 1")
     w, h = fixations.frame
-    return NegativeSample(_uniform_points(seed, w, h, fixations.points.tobytes(), n), trial_index)
+    return _uniform_points(seed, w, h, fixations.points.tobytes(), n)
 
 
 @functools.lru_cache(maxsize=_DRAW_CACHE_SIZE)
@@ -211,35 +195,33 @@ def _uniform_points(seed: int, w: int, h: int, fixated_xy: bytes, n: int) -> np.
     return points
 
 
-def sample_shuffled_nonfixated(
-    bank: ShuffleBank, exclude: str, n: int, seed: int, trial_index: int = 0
-) -> NegativeSample:
+def sample_shuffled_nonfixated(bank: ShuffleBank, exclude: str, n: int, seed: int) -> np.ndarray:
     """n points drawn i.i.d. from the pooled fixations of all other images."""
     if n < 1:
         raise ValueError("n must be >= 1")
     pool = pooled_fixations(bank, exclude)
-    return NegativeSample(pool[_shuffled_indices(seed, pool.shape[0], n)], trial_index)
+    return pool[_shuffled_indices(seed, pool.shape[0], n)]
 
 
 def uniform_negative_trials(
     fixations: FixationSet, metric_id: str, plan: TrialPlan
-) -> Iterator[NegativeSample]:
-    """One uniform negative sample per trial of the plan."""
+) -> Iterator[np.ndarray]:
+    """One uniform (n, 2) draw per trial of the plan, in trial order."""
     n = plan.n_for(fixations)
     for trial in range(plan.num_trials):
         seed = derive_trial_seed(plan.master_seed, fixations.image_id, metric_id, trial)
-        yield sample_uniform_nonfixated(fixations, n, seed, trial)
+        yield sample_uniform_nonfixated(fixations, n, seed)
 
 
 def shuffled_negative_trials(
     bank: ShuffleBank, fixations: FixationSet, metric_id: str, plan: TrialPlan
-) -> Iterator[NegativeSample]:
-    """One shuffled negative sample per trial of the plan."""
+) -> Iterator[np.ndarray]:
+    """One shuffled (n, 2) draw per trial, in trial order, from a bank in the fixations' frame."""
+    if tuple(bank.frame) != tuple(fixations.frame):
+        raise ValueError(f"shuffle bank frame {bank.frame} is not the fixations' {fixations.frame}")
     n = plan.n_for(fixations)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     # pool once; draws stay identical to per-call sample_shuffled_nonfixated
     pool = pooled_fixations(bank, fixations.image_id)
     for trial in range(plan.num_trials):
         seed = derive_trial_seed(plan.master_seed, fixations.image_id, metric_id, trial)
-        yield NegativeSample(pool[_shuffled_indices(seed, pool.shape[0], n)], trial)
+        yield pool[_shuffled_indices(seed, pool.shape[0], n)]

@@ -114,9 +114,8 @@ def test_criterion_2_emd_oracle_equivalence():
     worst = 0.0
     for _ in range(1000):
         bins = int(rng.integers(2, 9))
-        edges = np.linspace(0, 1, bins + 1)
-        h1 = ValueHistogram(edges, rng.random(bins) * rng.integers(1, 6), 1)
-        h2 = ValueHistogram(edges, rng.random(bins) * rng.integers(1, 6), 1)
+        h1 = ValueHistogram(rng.random(bins) * rng.integers(1, 6), 1)
+        h2 = ValueHistogram(rng.random(bins) * rng.integers(1, 6), 1)
         spec = GroundDistanceSpec(saturation=int(rng.integers(1, 9)))
         worst = max(worst, abs(emd_hat(h1, h2, spec) - emd_brute_oracle(h1, h2, spec)))
     elapsed = time.perf_counter() - t0
@@ -272,14 +271,14 @@ def test_criterion_7_metric_definition_invariants():
 
     jsd_ok = True
     for _ in range(200):
-        p = ValueHistogram(np.linspace(0, 1, 9), rng.random(8), 1)
-        q = ValueHistogram(np.linspace(0, 1, 9), rng.random(8), 1)
+        p = ValueHistogram(rng.random(8), 1)
+        q = ValueHistogram(rng.random(8), 1)
         v = jsd(p, q)
         jsd_ok &= 0.0 <= v <= 1.0 and jsd(p, p) == 0.0
 
     triangle_violations = 0
     for _ in range(10_000):
-        hists = [ValueHistogram(np.linspace(0, 1, 6), rng.random(5) + 1e-12, 1) for _ in range(3)]
+        hists = [ValueHistogram(rng.random(5) + 1e-12, 1) for _ in range(3)]
         dab = np.sqrt(jsd(hists[0], hists[1]))
         dbc = np.sqrt(jsd(hists[1], hists[2]))
         dac = np.sqrt(jsd(hists[0], hists[2]))

@@ -222,8 +222,8 @@ def test_snss_antisymmetric_under_role_swap():
     fix_a, _, bank, g = _blob_setup()
     plan = TrialPlan(num_trials=8, master_seed=6)
     for sample in shuffled_negative_trials(bank, fix_a, "snss", plan):
-        fwd = nss_at_points(g, fix_a.points) - nss_at_points(g, sample.points)
-        rev = nss_at_points(g, sample.points) - nss_at_points(g, fix_a.points)
+        fwd = nss_at_points(g, fix_a.points) - nss_at_points(g, sample)
+        rev = nss_at_points(g, sample) - nss_at_points(g, fix_a.points)
         assert fwd == pytest.approx(-rev, abs=1e-12)
 
 
@@ -279,12 +279,12 @@ def test_batched_trials_match_a_loop_over_trials(tie_case, samples):
     mu, sd = s.mean(), s.std()
     snss_loop, sauc_loop, aucf_loop = [], [], []
     for sample in shuffled_negative_trials(bank, fix, "snss", plan):
-        neg = s[sample.points[:, 1], sample.points[:, 0]]
+        neg = s[sample[:, 1], sample[:, 0]]
         snss_loop.append((pos.mean() - mu) / sd - (neg.mean() - mu) / sd)
     for sample in shuffled_negative_trials(bank, fix, "sauc", plan):
-        sauc_loop.append(_grid_auc_one_trial(pos, s[sample.points[:, 1], sample.points[:, 0]]))
+        sauc_loop.append(_grid_auc_one_trial(pos, s[sample[:, 1], sample[:, 0]]))
     for sample in uniform_negative_trials(fix, "auc_f", plan):
-        aucf_loop.append(_grid_auc_one_trial(pos, s[sample.points[:, 1], sample.points[:, 0]]))
+        aucf_loop.append(_grid_auc_one_trial(pos, s[sample[:, 1], sample[:, 0]]))
     np.testing.assert_allclose(snss_trials(s, fix, bank, plan), snss_loop, rtol=0, atol=1e-12)
     assert sauc(s, fix, bank, plan).value == pytest.approx(np.mean(sauc_loop), rel=0, abs=1e-12)
     assert auc_f(s, fix, plan).value == pytest.approx(np.mean(aucf_loop), rel=0, abs=1e-12)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from saleval.harness import (
@@ -9,7 +10,7 @@ from saleval.harness import (
     emit_report,
     read_records,
 )
-from saleval.harness.report import RECORD_FIELDS
+from saleval.harness.report import RECORD_FIELDS, write_rows
 
 
 def _records():
@@ -89,3 +90,12 @@ def test_read_records_rejects_foreign_header(tmp_path):
     path.write_text("who,what\n1,2\n")
     with pytest.raises(ValueError):
         read_records(path)
+
+
+def test_write_rows_formats_values_and_refuses_numpy_floats(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_rows(path, [{"b": 0.1, "a": "x", "c": True}, {"a": "y", "b": None, "d": 3}])
+    assert path.read_text().splitlines() == ["a,b,c,d", "x,0.1,True,", "y,,,3"]
+    # repr(np.float64(0.1)) is "np.float64(0.1)" under numpy 2
+    with pytest.raises(TypeError):
+        write_rows(path, [{"a": np.float64(0.1)}])

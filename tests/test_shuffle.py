@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import saleval
 from saleval import shuffle
 from saleval.maps import FixationSet
 from saleval.shuffle import (
@@ -63,14 +64,14 @@ def test_seed_derivation_stable_and_distinct():
 def test_uniform_excludes_fixations_forced_case():
     fs = FixationSet("a", [[0, 0]], (2, 2))
     out = sample_uniform_nonfixated(fs, 3, seed=1)
-    assert sorted(map(tuple, out.points.tolist())) == [(0, 1), (1, 0), (1, 1)]
+    assert sorted(map(tuple, out.tolist())) == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_uniform_deterministic():
     fs = FixationSet("a", [[3, 3], [4, 4]], (32, 32))
     s1 = sample_uniform_nonfixated(fs, 10, seed=99)
     s2 = sample_uniform_nonfixated(fs, 10, seed=99)
-    assert np.array_equal(s1.points, s2.points)
+    assert np.array_equal(s1, s2)
 
 
 def test_uniform_never_hits_fixations():
@@ -78,15 +79,15 @@ def test_uniform_never_hits_fixations():
     fixated = set(map(tuple, fs.points.tolist()))
     for seed in range(50):
         out = sample_uniform_nonfixated(fs, 16, seed=seed)
-        assert len(set(map(tuple, out.points.tolist()))) == 16
-        assert not fixated & set(map(tuple, out.points.tolist()))
+        assert len(set(map(tuple, out.tolist()))) == 16
+        assert not fixated & set(map(tuple, out.tolist()))
 
 
 def test_uniform_rejection_branch_distinct_points():
     fs = FixationSet("a", [[0, 0]], (64, 64))
     out = sample_uniform_nonfixated(fs, 12, seed=5)
-    assert len(set(map(tuple, out.points.tolist()))) == 12
-    assert (0, 0) not in set(map(tuple, out.points.tolist()))
+    assert len(set(map(tuple, out.tolist()))) == 12
+    assert (0, 0) not in set(map(tuple, out.tolist()))
 
 
 def test_uniform_n_too_large_rejected():
@@ -102,7 +103,7 @@ def test_uniform_chi_square_uniformity():
     draws = 0
     for seed in range(12500):
         out = sample_uniform_nonfixated(fs, 8, seed=seed)
-        flat = out.points[:, 1] * 8 + out.points[:, 0]
+        flat = out[:, 1] * 8 + out[:, 0]
         np.add.at(counts, flat, 1)
         draws += 8
     eligible = np.ones(64, bool)
@@ -116,15 +117,15 @@ def test_shuffled_source_correctness():
     bank = _bank()
     pool = set(map(tuple, pooled_fixations(bank, "a").tolist()))
     out = sample_shuffled_nonfixated(bank, "a", 50, seed=3)
-    assert set(map(tuple, out.points.tolist())) <= pool
-    assert out.points.shape == (50, 2)
+    assert set(map(tuple, out.tolist())) <= pool
+    assert out.shape == (50, 2)
 
 
 def test_shuffled_deterministic():
     bank = _bank()
     s1 = sample_shuffled_nonfixated(bank, "b", 7, seed=11)
     s2 = sample_shuffled_nonfixated(bank, "b", 7, seed=11)
-    assert np.array_equal(s1.points, s2.points)
+    assert np.array_equal(s1, s2)
 
 
 def test_shuffled_forced_source():
@@ -133,7 +134,7 @@ def test_shuffled_forced_source():
     b = FixationSet("b", [[2, 2], [3, 3]], (4, 4))
     bank = build_shuffle_bank([a, b], (4, 4))
     out = sample_shuffled_nonfixated(bank, "a", 20, seed=0)
-    assert set(map(tuple, out.points.tolist())) <= {(2, 2), (3, 3)}
+    assert set(map(tuple, out.tolist())) <= {(2, 2), (3, 3)}
 
 
 def test_pooled_fixations_empty_exclusion_rejected():
@@ -156,7 +157,7 @@ def test_shuffled_multiplicity_chi_square():
     n_draws = 30000
     for seed in range(300):
         out = sample_shuffled_nonfixated(bank, "a", 100, seed=seed)
-        for p in map(tuple, out.points.tolist()):
+        for p in map(tuple, out.tolist()):
             counts[p] += 1
     _, p_val = stats.chisquare(
         [counts[(1, 1)], counts[(2, 2)]], [n_draws * 2 / 3, n_draws * 1 / 3]
@@ -179,11 +180,12 @@ def test_trials_are_independent_and_indexed():
     fs = FixationSet("a", [[1, 1], [2, 2], [3, 3]], (10, 10))
     plan = TrialPlan(num_trials=5, master_seed=7)
     samples = list(shuffled_negative_trials(bank, fs, "snss", plan))
-    assert [s.trial_index for s in samples] == [0, 1, 2, 3, 4]
+    # the t-th draw is the one seeded by trial t
+    for t, sample in enumerate(samples):
+        seed = derive_trial_seed(7, "a", "snss", t)
+        assert np.array_equal(sample, sample_shuffled_nonfixated(bank, "a", 3, seed))
     # distinct seeds should yield at least one differing sample
-    assert any(
-        not np.array_equal(samples[0].points, s.points) for s in samples[1:]
-    )
+    assert any(not np.array_equal(samples[0], s) for s in samples[1:])
 
 
 def test_shuffled_draws_are_memoized_without_changing_them(monkeypatch):
@@ -197,14 +199,14 @@ def test_shuffled_draws_are_memoized_without_changing_them(monkeypatch):
     real_rng = shuffle._rng
     monkeypatch.setattr(shuffle, "_rng", lambda seed: constructions.append(seed) or real_rng(seed))
     shuffle._shuffled_indices.cache_clear()
-    cold = [s.points for s in shuffled_negative_trials(bank, fs, "sauc", plan)]
-    warm = [s.points for s in shuffled_negative_trials(bank, fs, "sauc", plan)]
+    cold = list(shuffled_negative_trials(bank, fs, "sauc", plan))
+    warm = list(shuffled_negative_trials(bank, fs, "sauc", plan))
     assert constructions == seeds  # the second pass built no generator
     for want, a, b in zip(fresh, cold, warm):
         assert np.array_equal(want, a) and np.array_equal(want, b)
     # asking for the trials in another order gives the same draws
     shuffle._shuffled_indices.cache_clear()
-    backwards = [sample_shuffled_nonfixated(bank, "a", 4, s).points for s in reversed(seeds)]
+    backwards = [sample_shuffled_nonfixated(bank, "a", 4, s) for s in reversed(seeds)]
     assert all(np.array_equal(w, b) for w, b in zip(fresh, reversed(backwards)))
 
 
@@ -235,12 +237,12 @@ def test_uniform_draws_are_memoized_without_changing_them(monkeypatch):
     monkeypatch.setattr(shuffle, "_rng", lambda seed: constructions.append(seed) or real_rng(seed))
     shuffle._uniform_points.cache_clear()
     for _ in range(2):
-        assert sample_uniform_nonfixated(fs, 6, seed=2024).points.tolist() == rejection
-        assert sample_uniform_nonfixated(fs, 20, seed=2024, trial_index=3).points.tolist() == permutation
+        assert sample_uniform_nonfixated(fs, 6, seed=2024).tolist() == rejection
+        assert sample_uniform_nonfixated(fs, 20, seed=2024).tolist() == permutation
     assert constructions == [2024, 2024]  # the second pass built no generator
     plan = TrialPlan(num_trials=5, samples_per_trial=4, master_seed=7)
-    cold = [s.points for s in uniform_negative_trials(fs, "auc_f", plan)]
-    warm = [s.points for s in uniform_negative_trials(fs, "auc_f", plan)]
+    cold = list(uniform_negative_trials(fs, "auc_f", plan))
+    warm = list(uniform_negative_trials(fs, "auc_f", plan))
     assert all(a is b for a, b in zip(cold, warm))
     assert len(constructions) == 2 + 5
 
@@ -248,7 +250,7 @@ def test_uniform_draws_are_memoized_without_changing_them(monkeypatch):
 def test_memoized_uniform_draws_are_read_only_and_keyed_by_fixations_frame_and_n():
     shuffle._uniform_points.cache_clear()
     fs = FixationSet("a", [[1, 1], [2, 2]], (16, 16))
-    pts = sample_uniform_nonfixated(fs, 5, seed=3).points
+    pts = sample_uniform_nonfixated(fs, 5, seed=3)
     assert not pts.flags.writeable
     with pytest.raises(ValueError):
         pts[0, 0] = 0
@@ -263,6 +265,21 @@ def test_memoized_uniform_draws_are_read_only_and_keyed_by_fixations_frame_and_n
     assert shuffle._uniform_points.cache_info().currsize == 4
     for sample, source in zip(others, (moved, wider, fs)):
         fresh = shuffle._uniform_points.__wrapped__(
-            3, *source.frame, source.points.tobytes(), len(sample.points)
+            3, *source.frame, source.points.tobytes(), len(sample)
         )
-        assert np.array_equal(sample.points, fresh)
+        assert np.array_equal(sample, fresh)
+
+
+@pytest.mark.parametrize("bank_frame", [(64, 48), (16, 12)], ids=["larger", "smaller"])
+@pytest.mark.parametrize("metric", ["sauc", "snss", "sskld", "sjsd", "semd"])
+def test_shuffled_metrics_refuse_a_bank_of_another_frame(metric, bank_frame):
+    # a bank built in another frame would index the map at the wrong pixels
+    rng = np.random.default_rng(4)
+    frame = (32, 24)
+    sets = [
+        FixationSet(i, np.column_stack([rng.integers(0, 32, 10), rng.integers(0, 24, 10)]), frame)
+        for i in ("a", "b", "c")
+    ]
+    bank = build_shuffle_bank(sets, bank_frame)
+    with pytest.raises(ValueError, match="shuffle bank frame"):
+        getattr(saleval, metric)(rng.random((24, 32)), sets[0], bank, TrialPlan(num_trials=3))
