@@ -4,7 +4,9 @@ Each model map is resized to the image's native size, peak-normalized,
 then swept over a set of blur widths; every metric independently keeps
 its best blur level, since blurring helps some metrics and hurts others.
 Degenerate inputs turn into missing scores, never into fabricated values
-and never into batch aborts.
+and never into batch aborts. Each image's density map and each blurred
+candidate are prepared once (maps.prepare), so the metrics share their
+statistics instead of recomputing them per metric.
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from ..errors import DegenerateInputError
-from ..maps import FixationSet, density_from_fixations, gaussian_blur, normalize_map, resize_map
+from ..maps import (
+    FixationSet,
+    PreparedMap,
+    density_from_fixations,
+    gaussian_blur,
+    normalize_map,
+    prepare,
+    resize_map,
+)
 from ..metrics_fixation import auc_f, auc_s, cc, nss, sauc, sim, snss
 from ..metrics_histogram import SIGN_MODES, GroundDistanceSpec, semd, sjsd, sskld
 from ..shuffle import ShuffleBank, TrialPlan, build_shuffle_bank
@@ -66,8 +76,8 @@ ALL_METRICS = tuple(_METRICS)
 
 
 def _blur_levels(sweep) -> list[float]:
-    """The sweep's distinct sigmas, ascending; the smallest must be exactly 0."""
-    levels = sorted(set(sweep))
+    """The sweep's distinct sigmas as Python floats, ascending; the smallest must be exactly 0."""
+    levels = sorted(set(map(float, sweep)))
     if not levels or levels[0] != 0 or not all(map(math.isfinite, levels)):
         raise ValueError(
             f"blur sweep must be non-empty, contain 0 and be finite and >= 0: {tuple(sweep)}"
@@ -141,6 +151,12 @@ def optimal_blur_search(s, scorer, sweep) -> tuple[float | None, float | None]:
     return _best_candidate(((sigma, gaussian_blur(s, sigma)) for sigma in levels), scorer)
 
 
+def _prepared_in_place(m) -> PreparedMap:
+    """prepare() without a copy, for an array that nothing else references."""
+    m.setflags(write=False)
+    return prepare(m)
+
+
 def evaluate_pair(
     s_raw,
     image: ImageEntry,
@@ -155,17 +171,24 @@ def evaluate_pair(
 
     The raw map is resized to the image dimensions and normalized; each
     metric then blur-searches independently over candidates blurred once
-    and shared by all metrics. Metrics needing the density map (cc, sim,
-    auc_s) require g; the shuffled metrics ignore it. The plan must run
-    the config's number of trials.
+    and prepared once, shared by all metrics. Metrics needing the density
+    map (cc, sim, auc_s) require g; the shuffled metrics ignore it. g may
+    be a prepared map, so that what the metrics derive from it serves
+    every model of the image. The plan must run the config's number of
+    trials.
     """
     if plan.num_trials != config.trials:
         raise ValueError(f"plan runs {plan.num_trials} trials, config says {config.trials}")
     needed = [m for m in config.metrics if _METRICS[m].needs_g]
     if needed and g is None:
         raise ValueError(f"metrics {sorted(needed)} need the density map g")
+    if g is not None:
+        g = prepare(g)
     s0 = normalize_map(resize_map(s_raw, image.width, image.height))
-    candidates = [(sigma, gaussian_blur(s0, sigma)) for sigma in _blur_levels(config.blur_sweep)]
+    candidates = [
+        (sigma, _prepared_in_place(gaussian_blur(s0, sigma)))
+        for sigma in _blur_levels(config.blur_sweep)
+    ]
     digest = plan.digest()
     records = []
     for metric in config.metrics:
@@ -224,7 +247,7 @@ def evaluate_batch(
         if frame not in banks:
             banks[frame] = _bank_for_frame(manifest, frame)
         fix = manifest.fixations[image.image_id]
-        g = density_from_fixations(fix, manifest.fwhm_px) if need_g else None
+        g = _prepared_in_place(density_from_fixations(fix, manifest.fwhm_px)) if need_g else None
         for model in manifest.models:
             units.append(
                 (

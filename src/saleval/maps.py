@@ -5,6 +5,18 @@ finite, non-negative values. A "normalized" map additionally has peak
 value 1 unless it is all-zero. Fixations are integer pixel coordinates
 stored as (N, 2) arrays of (x, y) = (column, row).
 
+Every metric scores a ``PreparedMap``: a validated, read-only float64 map
+whose peak, floor, mean and standard deviation, and whatever per-map data a
+metric derives from it (SIM's bin counts of a density map, AUC-S's
+binarization), are each computed on first use and then kept. ``prepare``
+returns a prepared map as it is and validates and wraps anything else, so a
+caller that passes plain arrays gets the same scores from the same code,
+and the protocol, which prepares each density map once per image and each
+blurred candidate once, stops recomputing them per metric. A kept statistic
+cannot go stale: a prepared map's array is read-only, and it is the
+caller's own array only when that array was already read-only and owns its
+data; any other input is copied.
+
 The Gaussian blur is the costliest transform: the blur search blurs every
 model map once per sigma of the sweep. It stays ``scipy.ndimage.convolve1d``
 because its summation order is part of the reported scores. On maps of at
@@ -30,12 +42,14 @@ import numpy as np
 __all__ = [
     "FWHM_TO_SIGMA",
     "FixationSet",
+    "PreparedMap",
     "as_map",
     "centered_gaussian_baseline",
     "density_from_fixations",
     "gaussian_blur",
     "invert_map",
     "normalize_map",
+    "prepare",
     "resize_map",
     "values_at",
 ]
@@ -54,6 +68,77 @@ def as_map(values) -> np.ndarray:
     if (m < 0).any():
         raise ValueError("saliency map values must be >= 0")
     return m
+
+
+class PreparedMap:
+    """A validated, read-only float64 saliency map with memoized statistics.
+
+    Build one with ``prepare``. ``values`` is read-only and no caller holds
+    a writeable alias of it, so each statistic is computed on first use and
+    then kept.
+    """
+
+    __slots__ = ("values", "_memo")
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self._memo = {}
+
+    def __reduce__(self):
+        # an unpickled array is a fresh writeable copy: freeze that in place
+        return _frozen, (self.values,)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.values.shape
+
+    @property
+    def size(self) -> int:
+        return self.values.size
+
+    def derived(self, key, compute):
+        """``compute(self)``, computed on the first call with this key and then kept."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute(self)
+            return value
+
+    @property
+    def peak(self) -> float:
+        return self.derived("peak", lambda p: float(p.values.max()))
+
+    @property
+    def floor(self) -> float:
+        return self.derived("floor", lambda p: float(p.values.min()))
+
+    @property
+    def mean(self) -> float:
+        return self.derived("mean", lambda p: float(p.values.mean()))
+
+    @property
+    def std(self) -> float:
+        return self.derived("std", lambda p: float(p.values.std()))
+
+
+def _frozen(m: np.ndarray) -> PreparedMap:
+    m.setflags(write=False)
+    return PreparedMap(m)
+
+
+def prepare(m) -> PreparedMap:
+    """A prepared map of m: m itself if it is one, else validated by ``as_map``.
+
+    An array that is already read-only float64 and owns its data (as the
+    protocol's candidates are) is used in place; anything else is copied,
+    so the caller keeps no writeable alias of the prepared values.
+    """
+    if isinstance(m, PreparedMap):
+        return m
+    a = as_map(m)
+    if a is not m or a.base is not None or a.flags.writeable:
+        a = a.copy()
+    return _frozen(a)
 
 
 def normalize_map(m) -> np.ndarray:
@@ -315,6 +400,6 @@ def density_from_fixations(fixations: FixationSet, fwhm_px: float) -> np.ndarray
 
 
 def values_at(m: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Map values sampled at integer (x, y) points."""
+    """Map values sampled at integer (x, y) points; unchecked, so callers keep them in the frame."""
     pts = np.asarray(points)
     return m[pts[:, 1], pts[:, 0]]

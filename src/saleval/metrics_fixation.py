@@ -6,7 +6,9 @@ negatives, AUC over a binarized density map, shuffled AUC), plus an exact
 pair-counting AUC oracle used to validate the threshold-grid integrator.
 The trial metrics score all trials of a candidate map at once, from a
 (trials, n) array of map values at the negatives; roc_from_samples is
-the one-row case of the same threshold-grid kernel.
+the one-row case of the same threshold-grid kernel. Each metric prepares
+its maps (maps.prepare), so a map's statistics and the density map's
+derived data are computed once per map, whichever metric asks first.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .maps import FixationSet, as_map, values_at
+from .maps import FixationSet, PreparedMap, prepare, values_at
 from .shuffle import ShuffleBank, TrialPlan, shuffled_negative_trials, uniform_negative_trials
 
 __all__ = [
@@ -55,23 +57,32 @@ class RocCurve:
     fpr: np.ndarray
 
 
-def _check_shapes(s: np.ndarray, g: np.ndarray) -> None:
+def _check_shapes(s: PreparedMap, g: PreparedMap) -> None:
     if s.shape != g.shape:
         raise ValueError(f"map dimensions differ: {s.shape} vs {g.shape}")
 
 
-def _check_frame(s: np.ndarray, fix: FixationSet) -> None:
+def _check_frame(s: PreparedMap, fix: FixationSet) -> None:
     w, h = fix.frame
     if s.shape != (h, w):
         raise ValueError(f"map shape {s.shape} does not match fixation frame {w}x{h}")
 
 
-def _mean_std(s: np.ndarray, metric_id: str) -> tuple[float, float]:
+def _check_in_frame(s: PreparedMap, points) -> np.ndarray:
+    """The (x, y) points as an array, refused if one lies outside the map."""
+    pts = np.asarray(points)
+    h, w = s.shape
+    if pts.size and (pts.min() < 0 or (pts[:, 0] >= w).any() or (pts[:, 1] >= h).any()):
+        raise ValueError(f"points outside the {w}x{h} map")
+    return pts
+
+
+def _mean_std(s: PreparedMap, metric_id: str) -> tuple[float, float]:
     # constancy checked on the value range: std() of a constant array can
     # come out as ~1e-17 instead of 0
-    if s.max() == s.min():
+    if s.peak == s.floor:
         raise DegenerateInputError(f"zero-variance map in {metric_id}")
-    return float(s.mean()), float(s.std())
+    return s.mean, s.std
 
 
 def cc(s, g) -> float:
@@ -81,12 +92,12 @@ def cc(s, g) -> float:
     DegenerateInputError when either map has zero variance; callers report
     a missing score rather than a fake 0.
     """
-    s = as_map(s)
-    g = as_map(g)
+    s = prepare(s)
+    g = prepare(g)
     _check_shapes(s, g)
     _mean_std(s, "cc")
     _mean_std(g, "cc")
-    r = np.corrcoef(s.ravel(), g.ravel())[0, 1]
+    r = np.corrcoef(s.values.ravel(), g.values.ravel())[0, 1]
     return float(np.clip(r, -1.0, 1.0))
 
 
@@ -94,28 +105,36 @@ def sim(s, g, bins: int = 256) -> float:
     """Histogram intersection between the two maps' intensity histograms.
 
     Both maps are binned over [0, 1] and the histograms mass-normalized, so
-    the score lies in [0, 1] with 1 for identical histograms.
+    the score lies in [0, 1] with 1 for identical histograms. g's
+    histogram is kept with g, so scoring many maps against one prepared
+    density map bins it once.
     """
-    s = as_map(s)
-    g = as_map(g)
+    s = prepare(s)
+    g = prepare(g)
     _check_shapes(s, g)
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    hs, _ = np.histogram(s, bins=bins, range=(0.0, 1.0))
-    hg, _ = np.histogram(g, bins=bins, range=(0.0, 1.0))
-    return float(np.minimum(hs / s.size, hg / g.size).sum())
+    hg = g.derived(("sim", bins), lambda m: _sim_masses(m, bins))
+    return float(np.minimum(_sim_masses(s, bins), hg).sum())
+
+
+def _sim_masses(m: PreparedMap, bins: int) -> np.ndarray:
+    """The map's intensity histogram over [0, 1], divided by its pixel count."""
+    counts, _ = np.histogram(m.values, bins=bins, range=(0.0, 1.0))
+    return counts / m.size
 
 
 def nss_at_points(s, points) -> float:
-    """Mean standardized map value at the given (x, y) points."""
-    s = as_map(s)
+    """Mean standardized map value at the given (x, y) points, all inside the map."""
+    s = prepare(s)
+    pts = _check_in_frame(s, points)
     mu, sd = _mean_std(s, "nss")
-    return float((values_at(s, points).mean() - mu) / sd)
+    return float((values_at(s.values, pts).mean() - mu) / sd)
 
 
 def nss(s, fix: FixationSet) -> float:
     """Normalized scanpath saliency: standardized map values at fixations."""
-    s = as_map(s)
+    s = prepare(s)
     _check_frame(s, fix)
     return nss_at_points(s, fix.points)
 
@@ -133,11 +152,11 @@ def _snss_rows(pos_vals: np.ndarray, neg_vals: np.ndarray, mu: float, sd: float)
 
 def snss_trials(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan) -> np.ndarray:
     """Per-trial NSS(fixations) - NSS(shuffled negatives)."""
-    s = as_map(s)
+    s = prepare(s)
     _check_frame(s, fix)
     mu, sd = _mean_std(s, "snss")
-    neg = _trial_values(s, shuffled_negative_trials(bank, fix, "snss", plan))
-    return _snss_rows(values_at(s, fix.points), neg, mu, sd)
+    neg = _trial_values(s.values, shuffled_negative_trials(bank, fix, "snss", plan))
+    return _snss_rows(values_at(s.values, fix.points), neg, mu, sd)
 
 
 def snss(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan) -> MetricScore:
@@ -221,13 +240,13 @@ def auc_pair_oracle(pos_values, neg_values) -> float:
 
 def _trial_mean_auc(s, fix: FixationSet, plan: TrialPlan, metric_id, negatives) -> MetricScore:
     # negatives yields one (n, 2) draw per trial; only their source differs per metric
-    s = as_map(s)
+    s = prepare(s)
     _check_frame(s, fix)
-    if s.max() > 1.0:
+    if s.peak > 1.0:
         raise ValueError(f"{metric_id} expects a normalized map")
     thresholds = np.linspace(1.0, 0.0, 256)
-    tpr = _rates(values_at(s, fix.points), thresholds)
-    fpr = _rates(_trial_values(s, negatives), thresholds)
+    tpr = _rates(values_at(s.values, fix.points), thresholds)
+    fpr = _rates(_trial_values(s.values, negatives), thresholds)
     return MetricScore(float(_auc_rows(tpr, fpr).mean()), metric_id, plan.num_trials)
 
 
@@ -256,26 +275,33 @@ def auc_s(s, g, levels: int = 256) -> float:
     The density map g is thresholded once at T = 0.5 * std(g); the
     prediction is swept over the threshold grid and the ROC integrated by
     trapezoid. Raises DegenerateInputError when the binarization has no
-    positives or no negatives.
+    positives or no negatives. The binarization is kept with g, so scoring
+    many maps against one prepared density map thresholds it once.
     """
-    s = as_map(s)
-    g = as_map(g)
+    s = prepare(s)
+    g = prepare(g)
     _check_shapes(s, g)
-    if g.max() == 0:
+    if g.peak == 0:
         raise DegenerateInputError("all-zero ground truth in auc_s")
-    gt = g >= 0.5 * g.std()
-    n_pos = int(gt.sum())
+    gt, n_pos = g.derived("auc_s", _binarize)
     if n_pos == 0:
         raise DegenerateInputError("no ground-truth pixel above threshold in auc_s")
     if n_pos == g.size:
         raise DegenerateInputError("ground-truth binarization has no negatives in auc_s")
-    if s.max() > 1.0:
+    if s.peak > 1.0:
         raise ValueError("auc_s expects a normalized map")
     thresholds = np.linspace(1.0, 0.0, levels)
-    inside = np.sort(s[gt])
-    everything = np.sort(s, axis=None)
+    inside = np.sort(s.values[gt])
+    everything = np.sort(s.values, axis=None)
     n_hit = n_pos - np.searchsorted(inside, thresholds, side="left")
     n_sal = s.size - np.searchsorted(everything, thresholds, side="left")
     tpr = n_hit / n_pos
     fpr = (n_sal - n_hit) / (s.size - n_pos)
     return auc_of_curve(RocCurve(thresholds=thresholds, tpr=tpr, fpr=fpr))
+
+
+def _binarize(g: PreparedMap) -> tuple[np.ndarray, int]:
+    """auc_s's positives: g at or above half its standard deviation, and their count."""
+    gt = g.values >= 0.5 * g.std
+    gt.setflags(write=False)
+    return gt, int(gt.sum())

@@ -24,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import min_cost_transport
-from .maps import FixationSet, as_map, values_at
+from .maps import FixationSet, prepare, values_at
 from .metrics_fixation import (
     MetricScore,
     _check_frame,
+    _check_in_frame,
     _mean_std,
     _row_counts,
     _snss_rows,
@@ -119,18 +120,18 @@ def hist_at_points(s, points, bins: int = 16) -> ValueHistogram:
     """Histogram of map values at (x, y) points, mass-normalized by the count.
 
     Bins span [0, 1] with the final bin right-closed, so a value of exactly
-    1.0 is counted.
+    1.0 is counted. Every point must lie inside the map.
     """
-    s = as_map(s)
-    pts = np.asarray(points)
+    s = prepare(s)
+    pts = _check_in_frame(s, points)
     if pts.size == 0:
         raise ValueError("points must be non-empty")
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    if s.max() > 1.0:
+    if s.peak > 1.0:
         raise ValueError("hist_at_points expects a normalized map")
     n = pts.shape[0]
-    return ValueHistogram(_value_masses(values_at(s, pts), bins, n), n)
+    return ValueHistogram(_value_masses(values_at(s.values, pts), bins, n), n)
 
 
 def _check_same_binning(a: ValueHistogram, b: ValueHistogram) -> None:
@@ -242,13 +243,13 @@ def _shuffled_masses(s, fix, bank, plan, bins, metric_id):
     their masses stay comparable even when the plan draws a different
     number of negatives.
     """
-    s = as_map(s)
+    s = prepare(s)
     _check_frame(s, fix)
-    if s.max() > 1.0:
+    if s.peak > 1.0:
         raise ValueError(f"{metric_id} expects a normalized map")
     mu, sd = _mean_std(s, metric_id)
-    pos = values_at(s, fix.points)
-    neg = _trial_values(s, shuffled_negative_trials(bank, fix, metric_id, plan))
+    pos = values_at(s.values, fix.points)
+    neg = _trial_values(s.values, shuffled_negative_trials(bank, fix, metric_id, plan))
     n = len(fix)
     return _snss_rows(pos, neg, mu, sd), _value_masses(pos, bins, n), _value_masses(neg, bins, n)
 

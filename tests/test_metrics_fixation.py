@@ -299,3 +299,11 @@ def test_roc_is_the_one_row_case_with_ties_on_the_grid(tie_case):
     # a value exactly on a threshold counts as salient at that threshold
     assert roc_from_samples([1.0], [0.0]).tpr[0] == 1.0
     assert roc_from_samples([0.5], [curve.thresholds[3]]).fpr[3] == 1.0
+
+
+@pytest.mark.parametrize("point", [[-1, 0], [0, -1], [4, 0], [0, 3]])
+def test_nss_at_points_refuses_points_outside_the_map(point):
+    # at x = -1 numpy indexing would read the last column without complaint
+    s = np.random.default_rng(3).random((3, 4))
+    with pytest.raises(ValueError, match="outside"):
+        nss_at_points(s, [[1, 1], point])

@@ -338,3 +338,10 @@ def test_hist_is_the_one_row_case_with_values_on_edges(tie_case):
     # a value exactly on an inner edge opens the next bin; 1.0 closes the last
     edge = hist_at_points(np.array([[0.25, 1.0]]), [[0, 0], [1, 0]], bins=4)
     assert edge.mass.tolist() == [0.0, 0.5, 0.0, 0.5]
+
+
+@pytest.mark.parametrize("point", [[-1, 0], [0, -1], [4, 0], [0, 3]])
+def test_hist_at_points_refuses_points_outside_the_map(point):
+    s = np.random.default_rng(3).random((3, 4))
+    with pytest.raises(ValueError, match="outside"):
+        hist_at_points(s, [[1, 1], point])

@@ -7,16 +7,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saleval import maps
+from saleval import auc_f, auc_s, cc, maps, sauc, semd, sim, sjsd, snss, sskld
 from saleval.harness import (
+    ALL_METRICS,
     EvalConfig,
+    emit_report,
     evaluate_batch,
     evaluate_pair,
     load_manifest,
     optimal_blur_search,
+    read_records,
     synth_dataset,
 )
-from saleval.maps import FixationSet, density_from_fixations, gaussian_blur, normalize_map
+from saleval.io import read_pgm
+from saleval.maps import (
+    FixationSet,
+    density_from_fixations,
+    gaussian_blur,
+    normalize_map,
+    resize_map,
+)
 from saleval.metrics_fixation import nss
 from saleval.shuffle import TrialPlan, build_shuffle_bank
 
@@ -225,3 +235,53 @@ def test_pool_after_banded_blurs_matches_serial(tmp_path):
                           text=True, timeout=240)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "same"
+
+
+def _scored_on_raw_arrays(metric, fix, g, bank, plan):
+    """The public metric function on plain arrays, as a blur-search scorer."""
+    return {
+        "sauc": lambda m: sauc(m, fix, bank, plan).value,
+        "snss": lambda m: snss(m, fix, bank, plan).value,
+        "sskld": lambda m: sskld(m, fix, bank, plan).value,
+        "sjsd": lambda m: sjsd(m, fix, bank, plan).value,
+        "semd": lambda m: semd(m, fix, bank, plan).value,
+        "cc": lambda m: cc(m, g),
+        "sim": lambda m: sim(m, g),
+        "nss": lambda m: nss(m, fix),
+        "auc_f": lambda m: auc_f(m, fix, plan).value,
+        "auc_s": lambda m: auc_s(m, g),
+    }[metric]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batch_on_prepared_maps_equals_each_metric_on_raw_arrays(tmp_path, jobs):
+    # the protocol prepares g once per image and each candidate once; the
+    # public functions, handed fresh plain arrays, must give the same bits
+    manifest, _ = _tiny_setup(tmp_path)
+    plan = TrialPlan(num_trials=6, master_seed=12)
+    config = EvalConfig(trials=6, blur_sweep=(0.0, 1.0, 3.0), metrics=ALL_METRICS)
+    records = evaluate_batch(manifest, config, plan, jobs=jobs)
+    assert len(records) == len(manifest.images) * len(manifest.models) * len(ALL_METRICS)
+    bank = build_shuffle_bank(list(manifest.fixations.values()), (48, 36))
+    for r in records:
+        image = next(im for im in manifest.images if im.image_id == r.image_id)
+        fix = manifest.fixations[r.image_id]
+        g = density_from_fixations(fix, manifest.fwhm_px)
+        s0 = normalize_map(resize_map(read_pgm(manifest.map_path(r.model_id, r.image_id)),
+                                      image.width, image.height))
+        scorer = _scored_on_raw_arrays(r.metric_id, fix, g, bank, plan)
+        assert (r.blur_sigma, r.score) == optimal_blur_search(s0, scorer, config.blur_sweep), r
+
+
+def test_numpy_sigmas_report_like_python_floats(tmp_path):
+    manifest, _ = _tiny_setup(tmp_path)
+    plan = TrialPlan(num_trials=4, master_seed=6)
+    written = []
+    for name, sweep in (("numpy", tuple(np.linspace(0, 2, 3))), ("plain", (0.0, 1.0, 2.0))):
+        config = EvalConfig(trials=4, blur_sweep=sweep, metrics=("snss", "cc"))
+        records = evaluate_batch(manifest, config, plan)
+        assert all(type(r.blur_sigma) is float for r in records if r.blur_sigma is not None)
+        paths = emit_report(records, [], {}, tmp_path / name)
+        assert read_records(paths["records"]) == records
+        written.append(paths["records"].read_bytes())
+    assert written[0] == written[1]
