@@ -4,9 +4,11 @@ Each model map is resized to the image's native size, peak-normalized,
 then swept over a set of blur widths; every metric independently keeps
 its best blur level, since blurring helps some metrics and hurts others.
 Degenerate inputs turn into missing scores, never into fabricated values
-and never into batch aborts. Each image's density map and each blurred
-candidate are prepared once (maps.prepare), so the metrics share their
-statistics instead of recomputing them per metric.
+and never into batch aborts. Each image's density map is prepared once
+(maps.prepare), and the blur search works one candidate at a time: it
+blurs a candidate, prepares it once, scores it with every metric, then
+drops it. So the metrics share each candidate's statistics and its one
+ascending sort, and only one blurred candidate is alive at a time.
 """
 
 from __future__ import annotations
@@ -127,17 +129,26 @@ class EvaluationRecord:
     trial_plan_digest: str
 
 
-def _best_candidate(candidates, scorer) -> tuple[float | None, float | None]:
-    # candidates come in ascending sigma, so the strict > keeps the smallest on ties
-    best_sigma, best_score = None, None
+def _best_per_scorer(candidates, scorers) -> list[tuple[float | None, float | None]]:
+    """The best (sigma, score) of each scorer over (sigma, candidate) pairs.
+
+    Candidates come in ascending sigma, so the strict > keeps the smallest
+    on ties; a DegenerateInputError skips only that (candidate, scorer),
+    and a scorer degenerate on every candidate gets (None, None). Every
+    scorer scores a candidate before the next one is taken, so a lazy
+    iterable of candidates keeps one alive at a time.
+    """
+    best = [(None, None)] * len(scorers)
     for sigma, cand in candidates:
-        try:
-            score = scorer(cand)
-        except DegenerateInputError:
-            continue
-        if best_score is None or score > best_score:
-            best_sigma, best_score = sigma, score
-    return best_sigma, best_score
+        for i, scorer in enumerate(scorers):
+            try:
+                score = scorer(cand)
+            except DegenerateInputError:
+                continue
+            if best[i][1] is None or score > best[i][1]:
+                best[i] = (sigma, score)
+        del cand  # freed before the next candidate is blurred
+    return best
 
 
 def optimal_blur_search(s, scorer, sweep) -> tuple[float | None, float | None]:
@@ -145,16 +156,19 @@ def optimal_blur_search(s, scorer, sweep) -> tuple[float | None, float | None]:
 
     The sweep must include 0 so "no blur" is always a candidate. A scorer
     that is degenerate at every blur level yields (None, None): a missing
-    score, not an error.
+    score, not an error. The scorer gets each blurred candidate as a
+    plain array.
     """
     levels = _blur_levels(sweep)
-    return _best_candidate(((sigma, gaussian_blur(s, sigma)) for sigma in levels), scorer)
+    s = prepare(s)
+    [best] = _best_per_scorer(((sigma, gaussian_blur(s, sigma)) for sigma in levels), [scorer])
+    return best
 
 
 def _prepared_in_place(m) -> PreparedMap:
-    """prepare() without a copy, for an array that nothing else references."""
+    """m prepared without a copy or a check, for a valid map that nothing else references."""
     m.setflags(write=False)
-    return prepare(m)
+    return PreparedMap(m)
 
 
 def evaluate_pair(
@@ -169,13 +183,15 @@ def evaluate_pair(
 ) -> list[EvaluationRecord]:
     """Score one model map against one image, one record per metric.
 
-    The raw map is resized to the image dimensions and normalized; each
-    metric then blur-searches independently over candidates blurred once
-    and prepared once, shared by all metrics. Metrics needing the density
-    map (cc, sim, auc_s) require g; the shuffled metrics ignore it. g may
-    be a prepared map, so that what the metrics derive from it serves
-    every model of the image. The plan must run the config's number of
-    trials.
+    The raw map is resized to the image dimensions and normalized, then
+    blurred at each sigma of the sweep in ascending order. Each candidate
+    is prepared once, scored with every metric of the config and dropped
+    before the next is blurred, so one candidate is alive at a time; each
+    metric keeps its own best (see ``optimal_blur_search`` for the rule).
+    Metrics needing the density map (cc, sim, auc_s) require g; the
+    shuffled metrics ignore it. g may be a prepared map, so that what the
+    metrics derive from it serves every model of the image. The plan must
+    run the config's number of trials.
     """
     if plan.num_trials != config.trials:
         raise ValueError(f"plan runs {plan.num_trials} trials, config says {config.trials}")
@@ -184,32 +200,33 @@ def evaluate_pair(
         raise ValueError(f"metrics {sorted(needed)} need the density map g")
     if g is not None:
         g = prepare(g)
-    s0 = normalize_map(resize_map(s_raw, image.width, image.height))
-    candidates = [
+    # a normalized map and its blurs are valid by construction: checked once, by resize_map
+    s0 = _prepared_in_place(normalize_map(resize_map(s_raw, image.width, image.height)))
+    candidates = (
         (sigma, _prepared_in_place(gaussian_blur(s0, sigma)))
         for sigma in _blur_levels(config.blur_sweep)
+    )
+    scorers = [
+        lambda m, score=_METRICS[metric].score: score(m, fix, g, bank, plan, config)
+        for metric in config.metrics
     ]
     digest = plan.digest()
-    records = []
-    for metric in config.metrics:
-        score = _METRICS[metric].score
-        best_sigma, best_score = _best_candidate(
-            candidates, lambda m: score(m, fix, g, bank, plan, config)
+    return [
+        EvaluationRecord(
+            model_id=model_id,
+            image_id=image.image_id,
+            metric_id=metric,
+            score=best_score,
+            blur_sigma=best_sigma,
+            distortion_type=image.distortion_type,
+            distortion_level=image.distortion_level,
+            complexity=image.complexity,
+            trial_plan_digest=digest,
         )
-        records.append(
-            EvaluationRecord(
-                model_id=model_id,
-                image_id=image.image_id,
-                metric_id=metric,
-                score=best_score,
-                blur_sigma=best_sigma,
-                distortion_type=image.distortion_type,
-                distortion_level=image.distortion_level,
-                complexity=image.complexity,
-                trial_plan_digest=digest,
-            )
+        for metric, (best_sigma, best_score) in zip(
+            config.metrics, _best_per_scorer(candidates, scorers)
         )
-    return records
+    ]
 
 
 def _bank_for_frame(manifest: DatasetManifest, frame: tuple[int, int]) -> ShuffleBank:

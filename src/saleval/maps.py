@@ -7,15 +7,15 @@ stored as (N, 2) arrays of (x, y) = (column, row).
 
 Every metric scores a ``PreparedMap``: a validated, read-only float64 map
 whose peak, floor, mean and standard deviation, and whatever per-map data a
-metric derives from it (SIM's bin counts of a density map, AUC-S's
-binarization), are each computed on first use and then kept. ``prepare``
-returns a prepared map as it is and validates and wraps anything else, so a
-caller that passes plain arrays gets the same scores from the same code,
-and the protocol, which prepares each density map once per image and each
-blurred candidate once, stops recomputing them per metric. A kept statistic
-cannot go stale: a prepared map's array is read-only, and it is the
-caller's own array only when that array was already read-only and owns its
-data; any other input is copied.
+metric derives from it (a candidate's ascending sort, a density map's SIM
+masses and AUC-S positives), are each computed on first use and then kept.
+``prepare`` returns a prepared map as it is and validates and wraps
+anything else, so a caller that passes plain arrays gets the same scores
+from the same code, and the protocol, which prepares each density map once
+per image and each blurred candidate once, stops recomputing them per
+metric. A kept statistic cannot go stale: a prepared map's array is
+read-only, and it is the caller's own array only when that array was
+already read-only, C-ordered and owns its data; any other input is copied.
 
 The Gaussian blur is the costliest transform: the blur search blurs every
 model map once per sigma of the sweep. It stays ``scipy.ndimage.convolve1d``
@@ -129,14 +129,15 @@ def _frozen(m: np.ndarray) -> PreparedMap:
 def prepare(m) -> PreparedMap:
     """A prepared map of m: m itself if it is one, else validated by ``as_map``.
 
-    An array that is already read-only float64 and owns its data (as the
-    protocol's candidates are) is used in place; anything else is copied,
-    so the caller keeps no writeable alias of the prepared values.
+    An array that is already read-only, C-ordered float64 and owns its data
+    is used in place; anything else is copied, so the caller keeps no
+    writeable alias of the prepared values, and a statistic summed over
+    them runs in the order of their ravel.
     """
     if isinstance(m, PreparedMap):
         return m
     a = as_map(m)
-    if a is not m or a.base is not None or a.flags.writeable:
+    if a is not m or a.base is not None or a.flags.writeable or not a.flags.c_contiguous:
         a = a.copy()
     return _frozen(a)
 
@@ -210,7 +211,10 @@ def gaussian_blur(m, sigma: float) -> np.ndarray:
     Kernel radius is ceil(3 * sigma). Near the borders the kernel is
     renormalized by the mass that falls inside the frame, so a constant map
     blurs to itself and interior-supported mass is preserved. sigma = 0
-    returns the input unchanged; a negative or non-finite sigma is refused.
+    returns a copy of the input; a negative or non-finite sigma is refused.
+    m may be a ``PreparedMap``, whose kept peak and floor then serve every
+    sigma of a sweep without checking the map again; the result is always
+    a plain array.
 
     The convolution stays ``scipy.ndimage.convolve1d``, imported here so
     that only blurring loads scipy. Its summation order is part of the
@@ -230,13 +234,16 @@ def gaussian_blur(m, sigma: float) -> np.ndarray:
     """
     from scipy.ndimage import convolve1d
 
-    m = as_map(m)
+    if isinstance(m, PreparedMap):
+        peak, floor, m = m.peak, m.floor, m.values
+    else:
+        m = as_map(m)
+        peak, floor = m.max(), m.min()
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite: {sigma}")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    peak = m.max()
-    if sigma == 0 or peak == m.min():
+    if sigma == 0 or peak == floor:
         # constant maps blur to themselves exactly; skipping the convolution
         # avoids float ripple that would fake variance downstream
         return m.copy()

@@ -9,6 +9,13 @@ The trial metrics score all trials of a candidate map at once, from a
 the one-row case of the same threshold-grid kernel. Each metric prepares
 its maps (maps.prepare), so a map's statistics and the density map's
 derived data are computed once per map, whichever metric asks first.
+
+SIM and AUC-S both count a map's values against fixed edges, so both read
+one ascending sort of it, kept with the map: SIM's histogram is the gaps
+between the bin edges' positions in that sort, AUC-S's salient counts are
+the thresholds' positions in it. CC computes np.corrcoef's steps itself,
+from the maps' kept means, so neither map is copied and centred twice.
+All three give the same bits as np.histogram and np.corrcoef.
 """
 
 from __future__ import annotations
@@ -90,38 +97,67 @@ def cc(s, g) -> float:
 
     Invariant under positive affine transforms of either map. Raises
     DegenerateInputError when either map has zero variance; callers report
-    a missing score rather than a fake 0.
+    a missing score rather than a fake 0. The arithmetic is np.corrcoef's,
+    step by step (centre both maps on their means in one (2, N) buffer,
+    X @ X.T, scale by 1 / (N - 1), divide by the diagonal's square roots on
+    both axes), with the kept means in place of its row means, which are
+    the same sums; the result is bit-identical.
     """
     s = prepare(s)
     g = prepare(g)
     _check_shapes(s, g)
-    _mean_std(s, "cc")
-    _mean_std(g, "cc")
-    r = np.corrcoef(s.values.ravel(), g.values.ravel())[0, 1]
-    return float(np.clip(r, -1.0, 1.0))
+    mu_s, _ = _mean_std(s, "cc")
+    mu_g, _ = _mean_std(g, "cc")
+    x = np.empty((2, s.size))
+    np.subtract(s.values.ravel(), mu_s, out=x[0])
+    np.subtract(g.values.ravel(), mu_g, out=x[1])
+    c = np.dot(x, x.T)
+    c *= np.true_divide(1, s.size - 1)
+    sd = np.sqrt(np.diag(c))
+    c /= sd[:, None]
+    c /= sd[None, :]
+    return float(np.clip(c[0, 1], -1.0, 1.0))
 
 
 def sim(s, g, bins: int = 256) -> float:
     """Histogram intersection between the two maps' intensity histograms.
 
     Both maps are binned over [0, 1] and the histograms mass-normalized, so
-    the score lies in [0, 1] with 1 for identical histograms. g's
-    histogram is kept with g, so scoring many maps against one prepared
-    density map bins it once.
+    the score lies in [0, 1] with 1 for identical histograms; values above
+    1 fall in no bin. s is binned from its kept ascending sort, which
+    AUC-S reads too. g's histogram is kept with g (its sort is not), so
+    scoring many maps against one prepared density map bins it once.
     """
     s = prepare(s)
     g = prepare(g)
     _check_shapes(s, g)
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    hg = g.derived(("sim", bins), lambda m: _sim_masses(m, bins))
-    return float(np.minimum(_sim_masses(s, bins), hg).sum())
+    hg = g.derived(("sim", bins), lambda m: _sim_masses(np.sort(m.values, axis=None), bins))
+    return float(np.minimum(_sim_masses(_ascending(s), bins), hg).sum())
 
 
-def _sim_masses(m: PreparedMap, bins: int) -> np.ndarray:
-    """The map's intensity histogram over [0, 1], divided by its pixel count."""
-    counts, _ = np.histogram(m.values, bins=bins, range=(0.0, 1.0))
-    return counts / m.size
+def _ascending(m: PreparedMap) -> np.ndarray:
+    """m's values sorted ascending, read-only and kept with m."""
+
+    def compute(p: PreparedMap) -> np.ndarray:
+        a = np.sort(p.values, axis=None)
+        a.setflags(write=False)
+        return a
+
+    return m.derived("ascending", compute)
+
+
+def _sim_masses(ascending: np.ndarray, bins: int) -> np.ndarray:
+    """The histogram over [0, 1] of ascending values, divided by their count.
+
+    Exactly np.histogram's counts: bin i holds edges[i] <= v < edges[i + 1]
+    and the last bin also holds v == 1, so each count is the gap between
+    two edges' positions in the sorted values.
+    """
+    at = np.searchsorted(ascending, np.linspace(0.0, 1.0, bins + 1), side="left")
+    at[-1] = np.searchsorted(ascending, 1.0, side="right")
+    return np.diff(at) / ascending.size
 
 
 def nss_at_points(s, points) -> float:
@@ -275,15 +311,21 @@ def auc_s(s, g, levels: int = 256) -> float:
     The density map g is thresholded once at T = 0.5 * std(g); the
     prediction is swept over the threshold grid and the ROC integrated by
     trapezoid. Raises DegenerateInputError when the binarization has no
-    positives or no negatives. The binarization is kept with g, so scoring
-    many maps against one prepared density map thresholds it once.
+    positives or no negatives, and ValueError for fewer than 2 levels. The
+    flat indices of g's positives are kept with g, so scoring many maps
+    against one prepared density map thresholds it once. The salient
+    counts are the thresholds' positions in two ascending sorts: s's kept
+    sort (shared with SIM) and a sort of s at g's positives.
     """
     s = prepare(s)
     g = prepare(g)
     _check_shapes(s, g)
+    if levels < 2:
+        raise ValueError("levels must be >= 2")
     if g.peak == 0:
         raise DegenerateInputError("all-zero ground truth in auc_s")
-    gt, n_pos = g.derived("auc_s", _binarize)
+    positives = g.derived("auc_s", _positives)
+    n_pos = positives.size
     if n_pos == 0:
         raise DegenerateInputError("no ground-truth pixel above threshold in auc_s")
     if n_pos == g.size:
@@ -291,8 +333,8 @@ def auc_s(s, g, levels: int = 256) -> float:
     if s.peak > 1.0:
         raise ValueError("auc_s expects a normalized map")
     thresholds = np.linspace(1.0, 0.0, levels)
-    inside = np.sort(s.values[gt])
-    everything = np.sort(s.values, axis=None)
+    inside = np.sort(np.take(s.values, positives))
+    everything = _ascending(s)
     n_hit = n_pos - np.searchsorted(inside, thresholds, side="left")
     n_sal = s.size - np.searchsorted(everything, thresholds, side="left")
     tpr = n_hit / n_pos
@@ -300,8 +342,8 @@ def auc_s(s, g, levels: int = 256) -> float:
     return auc_of_curve(RocCurve(thresholds=thresholds, tpr=tpr, fpr=fpr))
 
 
-def _binarize(g: PreparedMap) -> tuple[np.ndarray, int]:
-    """auc_s's positives: g at or above half its standard deviation, and their count."""
-    gt = g.values >= 0.5 * g.std
-    gt.setflags(write=False)
-    return gt, int(gt.sum())
+def _positives(g: PreparedMap) -> np.ndarray:
+    """auc_s's positives: the flat indices where g is at or above half its standard deviation."""
+    idx = np.flatnonzero(g.values >= 0.5 * g.std)
+    idx.setflags(write=False)
+    return idx

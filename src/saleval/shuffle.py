@@ -51,11 +51,16 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 # Draws depend only on their seed, source and n, not on the model or the blur
-# level being scored, so one image's draws are made once and reused by every
-# candidate. The size covers one image's seeds for the six per-trial metrics
-# at the default 100 trials (five draw shuffled points, auc_f uniform ones);
-# batches run image by image, so an image's draws stay cached while its pairs
-# are scored.
+# level being scored, so one image's draws are made once and reused. The
+# protocol scores one blur candidate with every metric before it blurs the
+# next, so the working set is one candidate's draws: trials x each shuffled
+# metric for the shuffled cache (5 x 100 at the default 100 trials) and
+# trials for auc_f's uniform cache. Batches run image by image, so at up to
+# 120 trials an image's draws stay cached while its pairs are scored. Above
+# that, the five shuffled metrics' draws evict each other on every candidate
+# and every draw is made again: at 200 trials the shuffled-protocol inputs
+# (2 images, 5 models, 8 blur levels) made 80,000 draws instead of 10,000
+# and took about 30% longer on a 2-core host.
 _DRAW_CACHE_SIZE = 6 * 100
 
 

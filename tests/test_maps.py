@@ -135,6 +135,21 @@ def test_blur_constant_map():
     assert (out == 0.4).all()
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1.5, 6.0])
+def test_blur_of_a_prepared_map_is_the_blur_of_its_array_unchecked(monkeypatch, sigma):
+    rng = np.random.default_rng(5)
+    for m in (rng.random((23, 31)), np.full((9, 13), 0.4)):
+        expected = gaussian_blur(m, sigma)
+        p = maps.prepare(m)
+        # the prepared map's kept peak and floor serve the blur: it is not checked again
+        monkeypatch.setattr(maps, "as_map", None)
+        out = gaussian_blur(p, sigma)
+        monkeypatch.undo()
+        assert type(out) is np.ndarray and out.flags.writeable
+        assert not np.shares_memory(out, p.values)
+        assert np.array_equal(out, expected)
+
+
 def test_blur_negative_sigma_rejected():
     for sigma in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError):

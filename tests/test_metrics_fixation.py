@@ -195,6 +195,13 @@ def test_auc_s_self_high_and_constant_half():
     assert auc_s(np.full_like(g, 0.3), g) == 0.5
 
 
+@pytest.mark.parametrize("levels", [0, 1])
+def test_auc_s_refuses_fewer_than_two_levels(levels):
+    _, _, _, g = _blob_setup()
+    with pytest.raises(ValueError, match="levels must be >= 2"):
+        auc_s(g, g, levels=levels)
+
+
 def test_auc_s_degenerate_gt():
     with pytest.raises(DegenerateInputError):
         auc_s(np.zeros((4, 4)), np.zeros((4, 4)))
@@ -307,3 +314,73 @@ def test_nss_at_points_refuses_points_outside_the_map(point):
     s = np.random.default_rng(3).random((3, 4))
     with pytest.raises(ValueError, match="outside"):
         nss_at_points(s, [[1, 1], point])
+
+
+# shapes for the numpy-form checks: odd sizes, single rows and columns,
+# and a size past numpy's 8-element pairwise-summation blocks
+NUMPY_FORM_SHAPES = [(1, 2), (1, 37), (37, 1), (2, 1), (5, 3), (24, 32), (1, 4099), (4099, 1),
+                     (61, 67), (96, 128)]
+
+
+def _random_pair(rng, shape):
+    """A map and a density-like map, both normalized, the map skewed by a random power."""
+    s = rng.random(shape) ** rng.uniform(0.2, 5.0)
+    g = rng.random(shape) ** 3
+    return s / s.max(), g / g.max()
+
+
+@pytest.mark.parametrize("shape", NUMPY_FORM_SHAPES)
+def test_cc_is_the_clipped_corrcoef_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0] * 7919 + shape[1])
+    for _ in range(10):
+        s, g = _random_pair(rng, shape)
+        expected = float(np.clip(np.corrcoef(s.ravel(), g.ravel())[0, 1], -1.0, 1.0))
+        assert cc(s, g) == expected
+        # a read-only Fortran-ordered map owns its data but ravels in another order
+        f = np.asfortranarray(s)
+        f.setflags(write=False)
+        assert cc(f, g) == expected
+
+
+def _histogram_masses(m, bins):
+    counts, _ = np.histogram(m, bins=bins, range=(0.0, 1.0))
+    return counts / m.size
+
+
+@pytest.mark.parametrize("bins", [2, 7, 16, 100, 256])
+@pytest.mark.parametrize("shape", NUMPY_FORM_SHAPES)
+def test_sim_is_the_intersection_of_np_histogram_masses(bins, shape):
+    rng = np.random.default_rng(bins * 1009 + shape[0] * 31 + shape[1])
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    # values exactly on every edge (1.0 among them) and one ulp either side
+    # of each, so 1 + ulp is there too, and 1.5: no bin holds values above 1
+    special = np.concatenate(
+        (edges, np.nextafter(edges, -1.0).clip(0.0), np.nextafter(edges, 2.0), [1.5])
+    )
+    for _ in range(4):
+        s, g = _random_pair(rng, shape)
+        for m in (s, g):
+            k = rng.integers(0, m.size + 1)
+            m.flat[rng.choice(m.size, size=k, replace=False)] = rng.choice(special, size=k)
+        expected = float(np.minimum(_histogram_masses(s, bins), _histogram_masses(g, bins)).sum())
+        assert sim(s, g, bins=bins) == expected
+
+
+@pytest.mark.parametrize("shape", NUMPY_FORM_SHAPES)
+def test_auc_s_is_the_two_sort_formula(shape):
+    rng = np.random.default_rng(shape[0] * 104729 + shape[1])
+    for _ in range(6):
+        s, g = _random_pair(rng, shape)
+        s = np.round(s * 255) / 255  # ties on the threshold grid
+        gt = g >= 0.5 * g.std()
+        n_pos = int(gt.sum())
+        if n_pos in (0, g.size):
+            continue
+        thresholds = np.linspace(1.0, 0.0, 256)
+        n_hit = n_pos - np.searchsorted(np.sort(s[gt]), thresholds, side="left")
+        n_sal = s.size - np.searchsorted(np.sort(s, axis=None), thresholds, side="left")
+        tpr = n_hit / n_pos
+        fpr = (n_sal - n_hit) / (s.size - n_pos)
+        y = np.concatenate(([0.0], tpr, [1.0]))
+        x = np.concatenate(([0.0], fpr, [1.0]))
+        assert auc_s(s, g) == float(np.trapezoid(y, x))

@@ -148,6 +148,10 @@ def test_only_a_read_only_array_that_owns_its_data_is_used_in_place():
     view = base[:, ::2]
     view.setflags(write=False)
     assert not np.shares_memory(prepare(view).values, base)
+    fortran = np.asfortranarray(np.random.default_rng(4).random((3, 4)))
+    fortran.setflags(write=False)
+    # statistics are summed in ravel order, so only C order is used in place
+    assert prepare(fortran).values.flags.c_contiguous
     assert prepare([[0.0, 1.0], [2.0, 3.0]]).values.dtype == np.float64
 
 

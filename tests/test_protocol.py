@@ -2,14 +2,17 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from saleval import auc_f, auc_s, cc, maps, sauc, semd, sim, sjsd, snss, sskld
+from saleval import auc_f, auc_s, cc, maps, sauc, semd, shuffle, sim, sjsd, snss, sskld
 from saleval.harness import (
     ALL_METRICS,
+    BASELINE_MODELS,
+    SHUFFLED_METRICS,
     EvalConfig,
     emit_report,
     evaluate_batch,
@@ -19,6 +22,7 @@ from saleval.harness import (
     read_records,
     synth_dataset,
 )
+from saleval.harness import protocol
 from saleval.io import read_pgm
 from saleval.maps import (
     FixationSet,
@@ -285,3 +289,46 @@ def test_numpy_sigmas_report_like_python_floats(tmp_path):
         assert read_records(paths["records"]) == records
         written.append(paths["records"].read_bytes())
     assert written[0] == written[1]
+
+
+def test_evaluate_pair_keeps_one_blurred_candidate_alive(tmp_path, monkeypatch):
+    manifest, bank = _tiny_setup(tmp_path)
+    image = manifest.images[0]
+    fix = manifest.fixations[image.image_id]
+    g = density_from_fixations(fix, manifest.fwhm_px)
+    plan = TrialPlan(num_trials=3, master_seed=2)
+    config = EvalConfig(trials=3, metrics=ALL_METRICS)
+    blur = protocol.gaussian_blur
+    live = []  # one flag per blurred candidate, cleared when it is freed
+    alive_at_blur = []
+
+    def counted_blur(m, sigma):
+        alive_at_blur.append(sum(live))
+        out = blur(m, sigma)
+        live.append(True)
+        weakref.finalize(out, live.__setitem__, len(live) - 1, False)
+        return out
+
+    monkeypatch.setattr(protocol, "gaussian_blur", counted_blur)
+    s_raw = read_pgm(manifest.map_path(manifest.models[0].model_id, image.image_id))
+    records = evaluate_pair(s_raw, image, fix, g, bank, plan, config)
+    assert alive_at_blur == [0] * len(config.blur_sweep)
+    assert sum(live) == 0
+    assert all(r.score is not None for r in records)
+
+
+def test_each_shuffled_draw_is_made_once_per_distinct_seed(tmp_path):
+    # the shuffled-protocol workload's size: 2 images at 256x192 with 40
+    # fixations, 5 models, the 5 shuffled metrics, 8 blur levels, 100 trials;
+    # one candidate's 5 x 100 draws fit the draw cache, so every candidate
+    # and model after the first reuses them
+    path = synth_dataset(tmp_path / "ds", num_images=2, frame=(256, 192), seed=3,
+                         fixations_per_image=40, models=BASELINE_MODELS)
+    manifest = load_manifest(path)
+    config = EvalConfig(metrics=SHUFFLED_METRICS)
+    plan = TrialPlan(num_trials=config.trials, master_seed=0)
+    shuffle._shuffled_indices.cache_clear()
+    evaluate_batch(manifest, config, plan)
+    info = shuffle._shuffled_indices.cache_info()
+    assert info.misses == len(manifest.images) * len(SHUFFLED_METRICS) * config.trials
+    assert info.hits > 0
