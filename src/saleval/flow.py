@@ -1,15 +1,31 @@
 """Exact minimum-cost transport on small dense instances.
 
-Successive shortest augmenting paths on the bipartite transport graph:
-ship min(total supply, total demand) units at minimum total cost subject
-to per-bin supply and demand capacities. Node potentials keep residual
-costs non-negative so each augmentation is a plain Dijkstra pass over the
-residual graph: source -> supply bins, supply -> demand bins at the unit
-cost, demand -> supply bins back along shipped flow, demand bins -> sink.
-Zero-mass bins carry no flow and are left out of the graph. Instances
-here are histogram sized (tens of bins), so the dense O(V^2) search runs
-on plain Python lists, which beat numpy's per-call overhead several times
-over at this size; no approximation layer is involved.
+Ship min(total supply, total demand) units at minimum total cost subject
+to per-bin supply and demand capacities, in two steps:
+
+1. A feasible plan, cheapest cell first: cells are taken in (cost, i, j)
+   order and each ships min(supply left, demand left, target left).
+2. Negative-cycle canceling. A feasible plan is optimal exactly when its
+   residual graph has no negative-cost cycle (Klein's criterion), so
+   Bellman-Ford looks for one and, while it finds one, pushes the cycle's
+   bottleneck mass around it. The residual graph has a forward arc
+   supply -> demand at the unit cost for every cell, a backward arc at
+   minus that cost for every shipped cell, and a slack node on each side:
+   unused supply and unmet demand are flows into them, so a cycle through
+   a slack node swaps unused mass in for shipped mass.
+
+Tolerances and termination: the plan stops once the target left is at
+most eps = 1e-12 * target, a residual arc exists only for mass above eps,
+and a Bellman-Ford distance counts as lowered only when it falls by more
+than tol = 1e-12 * the largest cost. The passes stop when no distance
+falls: every residual arc then has a reduced cost above -tol, so no cycle
+saves more than tol per arc and the plan is optimal to that tolerance.
+They also stop when the predecessor graph holds a cycle, which then costs
+less than -tol; pushing more than eps around it lowers the total cost by
+more than eps * tol, so the canceling ends. Zero-mass bins carry no flow
+and are left out of the graph. Instances here are histogram sized (tens
+of bins), so the search runs on plain Python lists, which beat numpy's
+per-call overhead at this size; no approximation layer is involved.
 """
 
 from __future__ import annotations
@@ -46,92 +62,99 @@ def min_cost_transport(supply, demand, cost) -> FlowSolution:
     if (supply < 0).any() or (demand < 0).any() or (cost < 0).any():
         raise ValueError("supplies, demands and costs must be >= 0")
 
-    si = np.flatnonzero(supply > 0)
-    dj = np.flatnonzero(demand > 0)
-    target = float(min(supply[si].sum(), demand[dj].sum()))
-    rs = supply[si].tolist()
-    rd = demand[dj].tolist()
-    c = cost[np.ix_(si, dj)].tolist()
+    si = (supply > 0).nonzero()[0]
+    dj = (demand > 0).nonzero()[0]
+    sub = cost[si][:, dj]
+    rs = supply[si].tolist()  # supply left
+    rd = demand[dj].tolist()  # demand left
     ns, nd = len(rs), len(rd)
-    flow = [[0.0] * nd for _ in range(ns)]
+    target = min(sum(rs), sum(rd))
+    eps = _REL_EPS * target
+    # nodes: supply bins 0..ns-1, demand bins ns..ns+nd-1, the slack node that
+    # takes unused supply, and the one that fills unmet demand; arcs carry a
+    # unit cost and shipped mass
+    unused, unmet = ns + nd, ns + nd + 1
+    cost_of = {(i, ns + j): cij for i, row in enumerate(sub.tolist()) for j, cij in enumerate(row)}
+    mass: dict[tuple[int, int], float] = {}
+    left = target
+    for k in np.argsort(sub, axis=None, kind="stable").tolist():
+        if left <= eps:
+            break
+        i, j = divmod(k, nd)
+        amount = min(rs[i], rd[j], left)
+        if amount > 0:
+            mass[i, ns + j] = amount
+            rs[i] -= amount
+            rd[j] -= amount
+            left -= amount
+    # only the side with mass left over needs its slack node
+    if sum(rs) > eps:
+        cost_of.update(((i, unused), 0.0) for i in range(ns))
+        mass.update(((i, unused), r) for i, r in enumerate(rs))
+    if sum(rd) > eps:
+        cost_of.update(((unmet, ns + j), 0.0) for j in range(nd))
+        mass.update(((unmet, ns + j), r) for j, r in enumerate(rd))
     if target > 0:
-        eps = _REL_EPS * max(1.0, target)
-        inf = float("inf")
-        # nodes: 0..ns-1 supply bins, ns..ns+nd-1 demand bins, then the sink;
-        # the source stays implicit (its potential never leaves 0)
-        sink = ns + nd
-        potential = [0.0] * (sink + 1)
-        shipped = 0.0
-        while target - shipped > eps:
-            # a supply bin keeps potential 0 while it has supply left, so its
-            # reduced cost from the source is 0; pred -1 marks the source
-            dist = [0.0 if rs[i] > eps else inf for i in range(ns)] + [inf] * (nd + 1)
-            pred = [-1] * (sink + 1)
-            unsettled = list(range(sink + 1))
-            while True:
-                # lowest index wins ties, as in a plain scan
-                u = min(unsettled, key=dist.__getitem__)
-                best = dist[u]
-                if u == sink or best == inf:
-                    break
-                unsettled.remove(u)
-                pu = potential[u]
-                if u < ns:
-                    row = c[u]
-                    for w in unsettled:
-                        if ns <= w < sink:
-                            # reduced costs are >= 0 up to float rounding; clamp the noise
-                            r = row[w - ns] + pu - potential[w]
-                            through = best + r if r > 0.0 else best
-                            if through < dist[w]:
-                                dist[w] = through
-                                pred[w] = u
-                else:
-                    j = u - ns
-                    for w in unsettled:
-                        if w < ns:
-                            if flow[w][j] > eps:
-                                r = -c[w][j] + pu - potential[w]
-                                through = best + r if r > 0.0 else best
-                                if through < dist[w]:
-                                    dist[w] = through
-                                    pred[w] = u
-                        elif w == sink and rd[j] > eps:
-                            r = pu - potential[sink]
-                            through = best + r if r > 0.0 else best
-                            if through < dist[sink]:
-                                dist[sink] = through
-                                pred[sink] = u
-            reach = dist[sink]
-            if reach == inf:
-                raise RuntimeError("transport target unreachable")
-            potential = [p + (d if d < reach else reach) for p, d in zip(potential, dist)]
+        _cancel_negative_cycles(mass, cost_of, ns + nd + 2, eps, _REL_EPS * float(sub.max()))
 
-            # walk back from the sink: forward arcs supply -> demand, backward
-            # arcs demand -> supply along shipped flow
-            last = pred[sink] - ns
-            bottleneck = min(target - shipped, rd[last])
-            forward, backward = [], []
-            w = pred[sink]
-            while w >= 0:
-                i = pred[w]
-                forward.append((i, w - ns))
-                w = pred[i]
-                if w >= 0:
-                    backward.append((i, w - ns))
-                    bottleneck = min(bottleneck, flow[i][w - ns])
-            first = forward[-1][0]
-            bottleneck = min(bottleneck, rs[first])
-            for i, j in forward:
-                flow[i][j] += bottleneck
-            for i, j in backward:
-                flow[i][j] -= bottleneck
-            rs[first] -= bottleneck
-            rd[last] -= bottleneck
-            shipped += bottleneck
-
-    arcs = [(i, j, amt) for i, row in enumerate(flow) for j, amt in enumerate(row) if amt > 0]
+    arcs = sorted((a, b - ns, m) for (a, b), m in mass.items() if a < ns and b < unused and m > 0)
+    si, dj = si.tolist(), dj.tolist()
     return FlowSolution(
-        flows=tuple((int(si[i]), int(dj[j]), amt) for i, j, amt in arcs),
-        cost=float(sum(amt * c[i][j] for i, j, amt in arcs)),
+        flows=tuple((si[i], dj[j], m) for i, j, m in arcs),
+        cost=float(sum(m * cost_of[i, ns + j] for i, j, m in arcs)),
     )
+
+
+def _cancel_negative_cycles(mass, cost_of, n, eps, tol) -> None:
+    """Make the plan optimal in place by canceling residual negative cycles.
+
+    Every arc of cost_of is a residual arc, uncapacitated; every arc whose
+    mass exceeds eps adds its reverse at minus the cost, capped by that mass.
+    """
+    forward = [(a, b, w) for (a, b), w in cost_of.items()]
+    while True:
+        arcs = [(b, a, -cost_of[a, b]) for (a, b), m in mass.items() if m > eps]
+        cycle = _negative_cycle(arcs + forward, n, tol)
+        if cycle is None:
+            return
+        theta = min(mass[v, u] for u, v in cycle if (u, v) not in cost_of)
+        for u, v in cycle:
+            if (u, v) in cost_of:
+                mass[u, v] = mass.get((u, v), 0.0) + theta
+            else:
+                mass[v, u] -= theta
+
+
+def _negative_cycle(arcs, n, tol):
+    """A cycle of (tail, head) arcs cheaper than -tol, or None if there is none.
+
+    Bellman-Ford from a virtual source at distance 0 to every node; a
+    distance counts as lowered only when it falls by more than tol.
+    """
+    dist = [0.0] * n
+    pred = [-1] * n
+    while True:
+        changed = False
+        for u, v, w in arcs:
+            through = dist[u] + w
+            if through < dist[v] - tol:
+                dist[v] = through
+                pred[v] = u
+                changed = True
+        if not changed:
+            return None
+        # a cycle of the predecessor graph is a negative cycle
+        mark = [-1] * n
+        for start in range(n):
+            v = start
+            while v >= 0 and mark[v] < 0:
+                mark[v] = start
+                v = pred[v]
+            if v >= 0 and mark[v] == start:
+                cycle = []
+                u = v
+                while True:
+                    cycle.append((pred[u], u))
+                    u = pred[u]
+                    if u == v:
+                        return cycle

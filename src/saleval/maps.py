@@ -118,7 +118,14 @@ class PreparedMap:
 
     @property
     def std(self) -> float:
-        return self.derived("std", lambda p: float(p.values.std()))
+        return self.derived("std", _std)
+
+
+def _std(p: PreparedMap) -> float:
+    """``np.std``'s own steps from the kept mean, with one centred temporary."""
+    centred = p.values - p.mean
+    np.square(centred, out=centred)
+    return float(np.sqrt(centred.sum() / p.size))
 
 
 def _frozen(m: np.ndarray) -> PreparedMap:

@@ -12,7 +12,8 @@ an array axis: a candidate map's negative values form one
 (trials, n) array, binned by a single bincount into (trials, bins)
 masses, and SKLD and JSD reduce along the last axis. hist_at_points,
 symmetric_kld and jsd are the one-row case of those same kernels. SEMD
-still solves one exact transport problem per trial (flow.py). A
+still solves one exact transport problem per trial (flow.py: a
+cheapest-first plan made optimal by negative-cycle canceling). A
 generic-LP oracle cross-checks the transport solver on small instances.
 """
 
@@ -188,7 +189,7 @@ def emd_hat(h_source: ValueHistogram, h_sink: ValueHistogram, d: GroundDistanceS
 
     Minimum-cost transport of min(total masses) under the saturated
     bin-index ground distance, plus |total mass difference| * saturation
-    as the mismatch penalty. Solved exactly by min-cost flow.
+    as the mismatch penalty. The transport is solved exactly (flow.py).
     """
     _check_same_binning(h_source, h_sink)
     a = h_source.mass

@@ -55,16 +55,25 @@ def _rng(seed: int) -> np.random.Generator:
 # protocol scores one blur candidate with every metric before it blurs the
 # next, so the working set is one candidate's draws: trials x each shuffled
 # metric for the shuffled cache (5 x 100 at the default 100 trials) and
-# trials for auc_f's uniform cache. Batches run image by image, so at up to
-# 120 trials an image's draws stay cached while its pairs are scored. Above
-# that, the five shuffled metrics' draws evict each other on every candidate
-# and every draw is made again: at 200 trials the shuffled-protocol inputs
-# (2 images, 5 models, 8 blur levels) made 80,000 draws instead of 10,000
-# and took about 30% longer on a 2-core host.
-_DRAW_CACHE_SIZE = 6 * 100
+# trials for auc_f's uniform cache. The trial generators grow both caches to
+# _DRAWS_PER_TRIAL entries per trial of their plan (one more than the five
+# shuffled metrics need), so that working set fits at any trial count; a
+# cache never shrinks, and one that grows starts empty.
+# Batches run image by image, so an image's draws stay cached while its pairs
+# are scored.
+_DRAWS_PER_TRIAL = 6
 
 
-@functools.lru_cache(maxsize=_DRAW_CACHE_SIZE)
+def _fit_draw_caches(trials: int) -> None:
+    """Grow both draw caches to hold one candidate's draws at this trial count."""
+    global _shuffled_indices, _uniform_points
+    size = _DRAWS_PER_TRIAL * trials
+    if size > _shuffled_indices.cache_info().maxsize:
+        _shuffled_indices = functools.lru_cache(maxsize=size)(_shuffled_indices.__wrapped__)
+        _uniform_points = functools.lru_cache(maxsize=size)(_uniform_points.__wrapped__)
+
+
+@functools.lru_cache(maxsize=_DRAWS_PER_TRIAL * 100)  # the default plan's trials
 def _shuffled_indices(seed: int, pool_size: int, n: int) -> np.ndarray:
     """n i.i.d. pool indices from the seed's PCG64 stream, read-only."""
     idx = _rng(seed).integers(0, pool_size, size=n)
@@ -163,7 +172,7 @@ def sample_uniform_nonfixated(fixations: FixationSet, n: int, seed: int) -> np.n
     return _uniform_points(seed, w, h, fixations.points.tobytes(), n)
 
 
-@functools.lru_cache(maxsize=_DRAW_CACHE_SIZE)
+@functools.lru_cache(maxsize=_DRAWS_PER_TRIAL * 100)
 def _uniform_points(seed: int, w: int, h: int, fixated_xy: bytes, n: int) -> np.ndarray:
     """n distinct non-fixated pixels as read-only (n, 2) points.
 
@@ -213,6 +222,7 @@ def uniform_negative_trials(
 ) -> Iterator[np.ndarray]:
     """One uniform (n, 2) draw per trial of the plan, in trial order."""
     n = plan.n_for(fixations)
+    _fit_draw_caches(plan.num_trials)
     for trial in range(plan.num_trials):
         seed = derive_trial_seed(plan.master_seed, fixations.image_id, metric_id, trial)
         yield sample_uniform_nonfixated(fixations, n, seed)
@@ -227,6 +237,7 @@ def shuffled_negative_trials(
     n = plan.n_for(fixations)
     # pool once; draws stay identical to per-call sample_shuffled_nonfixated
     pool = pooled_fixations(bank, fixations.image_id)
+    _fit_draw_caches(plan.num_trials)
     for trial in range(plan.num_trials):
         seed = derive_trial_seed(plan.master_seed, fixations.image_id, metric_id, trial)
         yield pool[_shuffled_indices(seed, pool.shape[0], n)]

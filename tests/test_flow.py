@@ -65,7 +65,8 @@ def test_flow_conservation_constraints():
 def _emd_residual_instances(rng, count):
     # what emd_hat hands the solver: 16-bin masses with the overlap removed
     # (disjoint supports, many zero-mass bins) and min(|i-j|, T) costs, whose
-    # small integer values tie often
+    # small integer values tie often; T runs over 1..8 and every fourth pair
+    # has unequal totals
     idx = np.arange(16)
     for k in range(count):
         saturation = 1 + k % 8
@@ -74,31 +75,92 @@ def _emd_residual_instances(rng, count):
             a, b = rng.integers(0, 6, (2, 16)) / 20.0
         else:
             a, b = rng.random((2, 16)) * (rng.random((2, 16)) < 0.5)
+        if k % 4 == 3:
+            b = b * rng.uniform(0.3, 3.0)
         overlap = np.minimum(a, b)
         yield a - overlap, b - overlap, cost
 
 
+def _generic_instances(rng, count):
+    # any shape up to 8 x 8, unequal totals, some zero-mass bins, and costs
+    # that are either small tied integers or generic reals
+    for k in range(count):
+        ns, nd = rng.integers(1, 9, 2)
+        supply = rng.random(ns) * rng.integers(1, 4) * (rng.random(ns) < 0.8)
+        demand = rng.random(nd) * rng.integers(1, 4) * (rng.random(nd) < 0.8)
+        if k % 2:
+            cost = rng.integers(0, 6, (ns, nd)).astype(float)
+        else:
+            cost = rng.random((ns, nd)) * 4
+        yield supply, demand, cost
+
+
+def _check_plan(sol, supply, demand, cost):
+    flow = np.zeros(cost.shape)
+    for i, j, amt in sol.flows:
+        # sparse: positive amounts, each arc once, only between bins with mass
+        assert amt > 0 and flow[i, j] == 0 and supply[i] > 0 and demand[j] > 0
+        flow[i, j] = amt
+    assert (flow.sum(axis=1) <= supply + 1e-12).all()
+    assert (flow.sum(axis=0) <= demand + 1e-12).all()
+    assert flow.sum() == pytest.approx(min(supply.sum(), demand.sum()), abs=1e-12)
+    assert sol.cost == pytest.approx((flow * cost).sum(), abs=1e-12)
+
+
 def test_matches_lp_on_random_instances():
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        ns, nd = rng.integers(1, 8, 2)
-        supply = rng.random(ns) * rng.integers(1, 4)
-        demand = rng.random(nd) * rng.integers(1, 4)
-        cost = rng.integers(0, 6, (ns, nd)).astype(float)
+    instances = [*_generic_instances(rng, 1500), *_emd_residual_instances(rng, 1500)]
+    for supply, demand, cost in instances:
         sol = min_cost_transport(supply, demand, cost)
         assert sol.cost == pytest.approx(_lp_reference(supply, demand, cost), abs=1e-9)
-    for supply, demand, cost in _emd_residual_instances(rng, 200):
+        _check_plan(sol, supply, demand, cost)
+
+
+def test_cancels_the_cycle_a_cheapest_first_plan_leaves():
+    # cheapest first ships (0, 0) and then must ship (1, 1) at 10: cost 11
+    sol = min_cost_transport([1.0, 1.0], [1.0, 1.0], [[1.0, 2.0], [1.0, 10.0]])
+    assert sol.cost == 3.0
+    assert sol.flows == ((0, 1, 1.0), (1, 0, 1.0))
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_the_excess_stays_at_the_dearest_bin(transpose):
+    # three supply bins for two demand bins: cheapest first leaves bin 1
+    # unused and ships from bin 2 at 9; the optimum swaps bin 1 in and
+    # leaves bin 2, the dearest, with all of its mass
+    supply, demand = np.ones(3), np.ones(2)
+    cost = np.array([[1.0, 2.0], [1.0, 10.0], [9.0, 9.0]])
+    if transpose:  # the same instance with unmet demand instead of unused supply
+        supply, demand, cost = demand, supply, cost.T
+    sol = min_cost_transport(supply, demand, cost)
+    assert sol.cost == 3.0
+    flows = {(j, i) if transpose else (i, j): amt for i, j, amt in sol.flows}
+    assert flows == {(0, 1): 1.0, (1, 0): 1.0}
+
+
+def test_tiny_masses_and_tied_costs_terminate():
+    # masses near 1e-13 solve as the same instance at unit scale, and tied
+    # costs, where every plan or many plans cost the same, end the canceling
+    rng = np.random.default_rng(4)
+    for k in range(200):
+        ns, nd = rng.integers(1, 9, 2)
+        supply = rng.random(ns) * (rng.random(ns) < 0.8)
+        demand = rng.random(nd) * (rng.random(nd) < 0.8)
+        if k % 2:
+            cost = np.full((ns, nd), float(k % 3))
+        else:
+            cost = rng.integers(0, 3, (ns, nd)).astype(float)
         sol = min_cost_transport(supply, demand, cost)
         assert sol.cost == pytest.approx(_lp_reference(supply, demand, cost), abs=1e-9)
+        tiny = min_cost_transport(supply * 1e-13, demand * 1e-13, cost)
+        assert tiny.cost == pytest.approx(sol.cost * 1e-13, rel=1e-9, abs=0)
         flow = np.zeros(cost.shape)
-        for i, j, amt in sol.flows:
-            # sparse: positive amounts, each arc once, only between bins with mass
-            assert amt > 0 and flow[i, j] == 0 and supply[i] > 0 and demand[j] > 0
+        for i, j, amt in tiny.flows:
             flow[i, j] = amt
-        assert (flow.sum(axis=1) <= supply + 1e-12).all()
-        assert (flow.sum(axis=0) <= demand + 1e-12).all()
-        assert flow.sum() == pytest.approx(min(supply.sum(), demand.sum()), abs=1e-12)
-        assert sol.cost == pytest.approx((flow * cost).sum(), abs=1e-12)
+        total = min(supply.sum(), demand.sum()) * 1e-13
+        assert flow.sum() == pytest.approx(total, rel=1e-9, abs=0)
+        assert (flow.sum(axis=1) <= supply * 1e-13 * (1 + 1e-12)).all()
+        assert (flow.sum(axis=0) <= demand * 1e-13 * (1 + 1e-12)).all()
 
 
 def test_rejects_bad_inputs():

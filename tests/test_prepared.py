@@ -178,3 +178,23 @@ def test_derived_data_is_computed_once_per_key():
     for _ in range(3):
         assert p.derived("k", lambda m: calls.append(1) or m.size) == 9
     assert calls == [1]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (17, 13), (129, 3), (255, 257), (31, 1001)])
+def test_std_from_the_kept_mean_is_numpys_std_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.random(shape)
+    strided = np.zeros((2 * shape[0], 3 * shape[1]))
+    strided[::2, ::3] = a
+    sources = (
+        a,
+        a * 1e6,
+        np.floor(a * 256),  # ties and exact integers
+        np.full(shape, 0.1),  # a constant whose mean rounds
+        np.asfortranarray(a),  # copied into C order
+        a[::-1, ::-1],  # a reversed view, copied
+        strided[::2, ::3],  # a strided view, copied
+    )
+    for source in sources:
+        p = prepare(source)
+        assert p.std == float(p.values.std())

@@ -332,3 +332,19 @@ def test_each_shuffled_draw_is_made_once_per_distinct_seed(tmp_path):
     info = shuffle._shuffled_indices.cache_info()
     assert info.misses == len(manifest.images) * len(SHUFFLED_METRICS) * config.trials
     assert info.hits > 0
+
+
+def test_the_draw_cache_holds_one_candidates_draws_above_the_default_trials(tmp_path):
+    # at 200 trials one candidate needs 5 x 200 shuffled draws, more than the
+    # cache holds at the default 100 trials; a cache that kept its size would
+    # remake every draw for each of the 2 x 2 x 2 candidates, 8,000 misses
+    path = synth_dataset(tmp_path / "ds", num_images=2, frame=(64, 48), seed=5,
+                         fixations_per_image=10, models=BASELINE_MODELS[:2])
+    manifest = load_manifest(path)
+    config = EvalConfig(trials=200, blur_sweep=(0.0, 2.0), metrics=SHUFFLED_METRICS)
+    plan = TrialPlan(num_trials=config.trials, master_seed=0)
+    shuffle._shuffled_indices.cache_clear()
+    evaluate_batch(manifest, config, plan)
+    info = shuffle._shuffled_indices.cache_info()
+    assert info.misses == len(manifest.images) * len(SHUFFLED_METRICS) * config.trials
+    assert info.hits == 3 * info.misses  # every other candidate reuses them
