@@ -30,7 +30,7 @@ from ..maps import (
 )
 from ..metrics_fixation import auc_f, auc_s, cc, nss, sauc, sim, snss
 from ..metrics_histogram import SIGN_MODES, GroundDistanceSpec, semd, sjsd, sskld
-from ..shuffle import ShuffleBank, TrialPlan, build_shuffle_bank
+from ..shuffle import ShuffleBank, TrialPlan, _integer, build_shuffle_bank
 from .dataset import DatasetManifest, ImageEntry
 
 __all__ = [
@@ -92,9 +92,10 @@ class EvalConfig:
     """Knobs of the evaluation protocol; echoed verbatim into every report.
 
     The blur sweep must be non-empty, contain 0 (so "no blur" is always a
-    candidate) and hold no negative or non-finite sigma; a config that
-    breaks this rule, names an unknown metric or an unknown sign mode is
-    refused when built.
+    candidate) and hold no negative or non-finite sigma. trials,
+    emd_saturation (both >= 1) and bins (>= 2) must be integers, and
+    epsilon finite and > 0. A config that breaks these rules, names an
+    unknown metric or an unknown sign mode is refused when built.
     """
 
     trials: int = 100
@@ -106,6 +107,10 @@ class EvalConfig:
     sign_mode: str = "per-trial"
 
     def __post_init__(self):
+        for name, least in (("trials", 1), ("bins", 2), ("emd_saturation", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0, not {self.epsilon!r}")
         for m in self.metrics:
             if m not in ALL_METRICS:
                 raise ValueError(f"unknown metric: {m}")

@@ -4,11 +4,13 @@ Covers the classic map-vs-map scores (CC, SIM), the point-based scores
 (NSS and its shuffled form SNSS), and the ROC family (AUC over uniform
 negatives, AUC over a binarized density map, shuffled AUC), plus an exact
 pair-counting AUC oracle used to validate the threshold-grid integrator.
-The trial metrics score all trials of a candidate map at once, from a
-(trials, n) array of map values at the negatives; roc_from_samples is
-the one-row case of the same threshold-grid kernel. Each metric prepares
-its maps (maps.prepare), so a map's statistics and the density map's
-derived data are computed once per map, whichever metric asks first.
+The trial metrics score all trials of a candidate map at once: one
+gather from the (trials, n, 2) tensor of an (image, metric)'s negative
+draws (shuffle.shuffled_draws, shuffle.uniform_draws) gives a (trials, n)
+array of map values; roc_from_samples is the one-row case of the same
+threshold-grid kernel. Each metric prepares its maps (maps.prepare), so
+a map's statistics and the density map's derived data are computed once
+per map, whichever metric asks first.
 
 SIM and AUC-S both count a map's values against fixed edges, so both read
 one ascending sort of it, kept with the map: SIM's histogram is the gaps
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .maps import FixationSet, PreparedMap, prepare, values_at
-from .shuffle import ShuffleBank, TrialPlan, shuffled_negative_trials, uniform_negative_trials
+from .shuffle import ShuffleBank, TrialPlan, shuffled_draws, uniform_draws
 
 __all__ = [
     "MetricScore",
@@ -175,10 +177,9 @@ def nss(s, fix: FixationSet) -> float:
     return nss_at_points(s, fix.points)
 
 
-def _trial_values(s: np.ndarray, negatives) -> np.ndarray:
-    """(T, n) map values at each trial's (n, 2) negative points, one row per trial."""
-    pts = np.stack(list(negatives))
-    return s[pts[..., 1], pts[..., 0]]
+def _trial_values(s: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """(T, n) map values at a (T, n, 2) tensor of (x, y) points, one row per trial."""
+    return s.take(draws[..., 1] * s.shape[1] + draws[..., 0])
 
 
 def _snss_rows(pos_vals: np.ndarray, neg_vals: np.ndarray, mu: float, sd: float) -> np.ndarray:
@@ -191,7 +192,7 @@ def snss_trials(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan) -> np.n
     s = prepare(s)
     _check_frame(s, fix)
     mu, sd = _mean_std(s, "snss")
-    neg = _trial_values(s.values, shuffled_negative_trials(bank, fix, "snss", plan))
+    neg = _trial_values(s.values, shuffled_draws(bank, fix, "snss", plan))
     return _snss_rows(values_at(s.values, fix.points), neg, mu, sd)
 
 
@@ -274,15 +275,15 @@ def auc_pair_oracle(pos_values, neg_values) -> float:
     return float(wins / (pos.size * neg.size))
 
 
-def _trial_mean_auc(s, fix: FixationSet, plan: TrialPlan, metric_id, negatives) -> MetricScore:
-    # negatives yields one (n, 2) draw per trial; only their source differs per metric
+def _trial_mean_auc(s, fix: FixationSet, plan: TrialPlan, metric_id, draw) -> MetricScore:
+    # draw() gives the (T, n, 2) negatives once the map is checked; only their source differs
     s = prepare(s)
     _check_frame(s, fix)
     if s.peak > 1.0:
         raise ValueError(f"{metric_id} expects a normalized map")
     thresholds = np.linspace(1.0, 0.0, 256)
     tpr = _rates(values_at(s.values, fix.points), thresholds)
-    fpr = _rates(_trial_values(s.values, negatives), thresholds)
+    fpr = _rates(_trial_values(s.values, draw()), thresholds)
     return MetricScore(float(_auc_rows(tpr, fpr).mean()), metric_id, plan.num_trials)
 
 
@@ -292,7 +293,7 @@ def auc_f(s, fix: FixationSet, plan: TrialPlan) -> MetricScore:
     One negative per fixation, resampled each trial. A constant map gives
     exactly 0.5 by the tie convention; that is a valid score, not an error.
     """
-    return _trial_mean_auc(s, fix, plan, "auc_f", uniform_negative_trials(fix, "auc_f", plan))
+    return _trial_mean_auc(s, fix, plan, "auc_f", lambda: uniform_draws(fix, "auc_f", plan))
 
 
 def sauc(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan) -> MetricScore:
@@ -301,8 +302,7 @@ def sauc(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan) -> MetricScore
     Because the negatives inherit the dataset's spatial bias, a centered
     blob scores near chance instead of profiting from center bias.
     """
-    negatives = shuffled_negative_trials(bank, fix, "sauc", plan)
-    return _trial_mean_auc(s, fix, plan, "sauc", negatives)
+    return _trial_mean_auc(s, fix, plan, "sauc", lambda: shuffled_draws(bank, fix, "sauc", plan))
 
 
 def auc_s(s, g, levels: int = 256) -> float:

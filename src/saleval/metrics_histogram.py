@@ -8,9 +8,10 @@ mass-mismatch-penalized EMD with a saturated bin-index ground distance.
 
 Every histogram here has B >= 2 equal-width bins over [0, 1], the last
 one right-closed, so its bin count alone fixes its binning. Trials are
-an array axis: a candidate map's negative values form one
-(trials, n) array, binned by a single bincount into (trials, bins)
-masses, and SKLD and JSD reduce along the last axis. hist_at_points,
+an array axis: a candidate map's values at the (trials, n, 2) tensor of
+its shuffled draws form one (trials, n) array, binned by a single
+bincount into (trials, bins) masses, and SKLD and JSD reduce along the
+last axis. hist_at_points,
 symmetric_kld and jsd are the one-row case of those same kernels. SEMD
 still solves one exact transport problem per trial (flow.py: a
 cheapest-first plan made optimal by negative-cycle canceling). A
@@ -20,6 +21,7 @@ generic-LP oracle cross-checks the transport solver on small instances.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,7 @@ from .metrics_fixation import (
     _snss_rows,
     _trial_values,
 )
-from .shuffle import ShuffleBank, TrialPlan, shuffled_negative_trials
+from .shuffle import ShuffleBank, TrialPlan, shuffled_draws
 
 __all__ = [
     "SIGN_MODES",
@@ -140,6 +142,11 @@ def _check_same_binning(a: ValueHistogram, b: ValueHistogram) -> None:
         raise ValueError("histograms must share the same binning")
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, not {epsilon!r}")
+
+
 def _skld_rows(p: np.ndarray, q: np.ndarray, epsilon: float) -> np.ndarray:
     """Symmetric KLD between mass rows, epsilon added to every bin."""
     p = p + epsilon
@@ -155,8 +162,7 @@ def symmetric_kld(h: ValueHistogram, hhat: ValueHistogram, epsilon: float = 1e-1
     only for identical histograms (up to the epsilon floor).
     """
     _check_same_binning(h, hhat)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    _check_epsilon(epsilon)
     return float(_skld_rows(h.mass, hhat.mass, epsilon))
 
 
@@ -250,13 +256,14 @@ def _shuffled_masses(s, fix, bank, plan, bins, metric_id):
         raise ValueError(f"{metric_id} expects a normalized map")
     mu, sd = _mean_std(s, metric_id)
     pos = values_at(s.values, fix.points)
-    neg = _trial_values(s.values, shuffled_negative_trials(bank, fix, metric_id, plan))
+    neg = _trial_values(s.values, shuffled_draws(bank, fix, metric_id, plan))
     n = len(fix)
     return _snss_rows(pos, neg, mu, sd), _value_masses(pos, bins, n), _value_masses(neg, bins, n)
 
 
 def _sskld_parts(s, fix, bank, plan, bins, epsilon) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (SNSS, symmetric KLD) arrays, the two halves of SSKLD."""
+    _check_epsilon(epsilon)
     snss_vals, pos, neg = _shuffled_masses(s, fix, bank, plan, bins, "sskld")
     return snss_vals, _skld_rows(pos, neg, epsilon)
 

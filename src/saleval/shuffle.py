@@ -3,18 +3,20 @@
 Every sampling call is a pure function of its inputs plus a 64-bit seed;
 the generator is numpy's PCG64. Per-trial seeds derive from a stable hash
 over (master_seed, image_id, metric_id, trial_index), so any run can be
-replayed bit-for-bit from the recorded plan. A draw is a plain (n, 2)
-int64 array of (x, y) points; the trial generators yield one per trial,
-in trial order. Because a draw depends only on its seed and its source
-(the pool size, or the frame and the fixated pixels) and n, it is
-memoized: scoring the same image again under another model or blur
-level reuses it.
+replayed bit-for-bit from the recorded plan. A draw is an (n, 2) int64
+array of (x, y) points. The metrics read all trials of one (image, metric)
+at once, as a read-only (trials, n, 2) tensor whose row t is trial t's
+draw (shuffled_draws, uniform_draws). A tensor depends only on the plan's
+seeds, its source (the pool size, or the frame and the fixated pixels)
+and n, not on the model or the blur level being scored, so each one is
+drawn once and reused while that image's pairs are scored.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -32,7 +34,9 @@ __all__ = [
     "pooled_fixations",
     "sample_shuffled_nonfixated",
     "sample_uniform_nonfixated",
+    "shuffled_draws",
     "shuffled_negative_trials",
+    "uniform_draws",
     "uniform_negative_trials",
 ]
 
@@ -40,6 +44,11 @@ RNG_ALGORITHM = "numpy-PCG64"
 SEED_DERIVATION = "blake2b64('saleval-trial-v1|<master_seed>|<image_id>|<metric_id>|<trial>')"
 
 
+# A trial seed is derived each time a metric scores a candidate, once per trial,
+# and the protocol scores every (model, blur level) candidate of an image with
+# the same seeds, so the cache holds one image's seeds for every seeded metric
+# at up to 682 trials.
+@functools.lru_cache(maxsize=4096, typed=True)
 def derive_trial_seed(master_seed: int, image_id: str, metric_id: str, trial_index: int) -> int:
     """Stable 64-bit trial seed; the derivation is part of the report contract."""
     key = f"saleval-trial-v1|{master_seed}|{image_id}|{metric_id}|{trial_index}"
@@ -50,35 +59,13 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-# Draws depend only on their seed, source and n, not on the model or the blur
-# level being scored, so one image's draws are made once and reused. The
-# protocol scores one blur candidate with every metric before it blurs the
-# next, so the working set is one candidate's draws: trials x each shuffled
-# metric for the shuffled cache (5 x 100 at the default 100 trials) and
-# trials for auc_f's uniform cache. The trial generators grow both caches to
-# _DRAWS_PER_TRIAL entries per trial of their plan (one more than the five
-# shuffled metrics need), so that working set fits at any trial count; a
-# cache never shrinks, and one that grows starts empty.
-# Batches run image by image, so an image's draws stay cached while its pairs
-# are scored.
-_DRAWS_PER_TRIAL = 6
-
-
-def _fit_draw_caches(trials: int) -> None:
-    """Grow both draw caches to hold one candidate's draws at this trial count."""
-    global _shuffled_indices, _uniform_points
-    size = _DRAWS_PER_TRIAL * trials
-    if size > _shuffled_indices.cache_info().maxsize:
-        _shuffled_indices = functools.lru_cache(maxsize=size)(_shuffled_indices.__wrapped__)
-        _uniform_points = functools.lru_cache(maxsize=size)(_uniform_points.__wrapped__)
-
-
-@functools.lru_cache(maxsize=_DRAWS_PER_TRIAL * 100)  # the default plan's trials
-def _shuffled_indices(seed: int, pool_size: int, n: int) -> np.ndarray:
-    """n i.i.d. pool indices from the seed's PCG64 stream, read-only."""
-    idx = _rng(seed).integers(0, pool_size, size=n)
-    idx.setflags(write=False)
-    return idx
+def _integer(name: str, value, least: int | None = None) -> int:
+    """value as a plain int; refused unless it is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -94,10 +81,12 @@ class TrialPlan:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.num_trials < 1:
-            raise ValueError("num_trials must be >= 1")
-        if self.samples_per_trial is not None and self.samples_per_trial < 1:
-            raise ValueError("samples_per_trial must be >= 1")
+        # numpy integers are stored as int, so they give the same digest and seeds
+        object.__setattr__(self, "num_trials", _integer("num_trials", self.num_trials, 1))
+        object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
+        if self.samples_per_trial is not None:
+            n = _integer("samples_per_trial", self.samples_per_trial, 1)
+            object.__setattr__(self, "samples_per_trial", n)
 
     def n_for(self, fixations: FixationSet) -> int:
         return self.samples_per_trial if self.samples_per_trial is not None else len(fixations)
@@ -164,49 +153,46 @@ def pooled_fixations(bank: ShuffleBank, exclude: str) -> np.ndarray:
     return np.concatenate(pools, axis=0)
 
 
-def sample_uniform_nonfixated(fixations: FixationSet, n: int, seed: int) -> np.ndarray:
-    """n distinct pixels drawn uniformly from the non-fixated pixels, read-only."""
+def _nonfixated_points(seeds, w: int, h: int, fixated_xy: np.ndarray, n: int) -> np.ndarray:
+    """One draw of n distinct non-fixated pixels per seed, as read-only (len(seeds), n, 2) points."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    w, h = fixations.frame
-    return _uniform_points(seed, w, h, fixations.points.tobytes(), n)
-
-
-@functools.lru_cache(maxsize=_DRAWS_PER_TRIAL * 100)
-def _uniform_points(seed: int, w: int, h: int, fixated_xy: bytes, n: int) -> np.ndarray:
-    """n distinct non-fixated pixels as read-only (n, 2) points.
-
-    fixated_xy is the bytes of the (N, 2) int64 fixation array, which makes
-    the fixated pixels part of the cache key.
-    """
     total = w * h
-    pts = np.frombuffer(fixated_xy, dtype=np.int64).reshape(-1, 2)
-    fixated = np.unique(pts[:, 1] * w + pts[:, 0])
+    fixated = np.unique(fixated_xy[:, 1] * w + fixated_xy[:, 0])
     eligible = total - fixated.size
     if n > eligible:
         raise ValueError(f"requested {n} non-fixated pixels but only {eligible} exist")
-    rng = _rng(seed)
+    chosen = np.empty((len(seeds), n), dtype=np.int64)
     if eligible <= 4 * n:
         flat = np.setdiff1d(np.arange(total, dtype=np.int64), fixated)
-        chosen = rng.permutation(flat)[:n]
+        for row, seed in zip(chosen, seeds):
+            row[:] = _rng(seed).permutation(flat)[:n]
     else:
-        # first n distinct non-fixated indices from an i.i.d. uniform stream
+        # first n distinct non-fixated indices from an i.i.d. uniform stream;
+        # seen goes back to just the fixated pixels after each row
         seen = np.zeros(total, dtype=bool)
         seen[fixated] = True
-        picked: list[np.ndarray] = []
-        have = 0
-        while have < n:
-            draw = rng.integers(0, total, size=2 * (n - have) + 8)
-            draw = draw[~seen[draw]]
-            _, first = np.unique(draw, return_index=True)
-            draw = draw[np.sort(first)][: n - have]
-            seen[draw] = True
-            picked.append(draw)
-            have += draw.size
-        chosen = np.concatenate(picked)
-    points = np.column_stack((chosen % w, chosen // w))
+        for row, seed in zip(chosen, seeds):
+            rng = _rng(seed)
+            have = 0
+            while have < n:
+                draw = rng.integers(0, total, size=2 * (n - have) + 8)
+                draw = draw[~seen[draw]]
+                _, first = np.unique(draw, return_index=True)
+                draw = draw[np.sort(first)][: n - have]
+                seen[draw] = True
+                row[have : have + draw.size] = draw
+                have += draw.size
+            seen[row] = False
+    points = np.stack((chosen % w, chosen // w), axis=-1)
     points.setflags(write=False)
     return points
+
+
+def sample_uniform_nonfixated(fixations: FixationSet, n: int, seed: int) -> np.ndarray:
+    """n distinct pixels drawn uniformly from the non-fixated pixels, read-only."""
+    w, h = fixations.frame
+    return _nonfixated_points((seed,), w, h, fixations.points, n)[0]
 
 
 def sample_shuffled_nonfixated(bank: ShuffleBank, exclude: str, n: int, seed: int) -> np.ndarray:
@@ -214,30 +200,75 @@ def sample_shuffled_nonfixated(bank: ShuffleBank, exclude: str, n: int, seed: in
     if n < 1:
         raise ValueError("n must be >= 1")
     pool = pooled_fixations(bank, exclude)
-    return pool[_shuffled_indices(seed, pool.shape[0], n)]
+    return pool.take(_rng(seed).integers(0, pool.shape[0], size=n), axis=0)
+
+
+def _trial_seeds(fixations: FixationSet, metric_id: str, plan: TrialPlan) -> tuple[int, ...]:
+    """The plan's seed for each trial of one (image, metric), in trial order."""
+    derive = derive_trial_seed
+    image_id = fixations.image_id
+    return tuple([derive(plan.master_seed, image_id, metric_id, t) for t in range(plan.num_trials)])
+
+
+# The protocol scores an image's candidates one by one, each with every metric,
+# so the working set is one image's tensors: one per seeded metric (the five
+# shuffled metrics and auc_f). Batches run image by image.
+_TENSORS_PER_IMAGE = 6
+
+
+@functools.lru_cache(maxsize=_TENSORS_PER_IMAGE)
+def _pool_index_tensor(seeds: tuple[int, ...], pool_size: int, n: int) -> np.ndarray:
+    """Each seed's n i.i.d. pool indices from its PCG64 stream, as read-only (T, n)."""
+    idx = np.empty((len(seeds), n), dtype=np.int64)
+    for row, seed in zip(idx, seeds):
+        row[:] = _rng(seed).integers(0, pool_size, size=n)
+    idx.setflags(write=False)
+    return idx
+
+
+@functools.lru_cache(maxsize=_TENSORS_PER_IMAGE)
+def _uniform_tensor(seeds: tuple[int, ...], w: int, h: int, fixated_xy: bytes, n: int) -> np.ndarray:
+    """The (T, n, 2) uniform draws of the seeds, read-only.
+
+    fixated_xy is the bytes of the (N, 2) int64 fixation array, which makes
+    the fixated pixels part of the cache key.
+    """
+    pts = np.frombuffer(fixated_xy, dtype=np.int64).reshape(-1, 2)
+    return _nonfixated_points(seeds, w, h, pts, n)
+
+
+def uniform_draws(fixations: FixationSet, metric_id: str, plan: TrialPlan) -> np.ndarray:
+    """Every trial's uniform draw as one read-only (T, n, 2) array; row t is trial t's."""
+    w, h = fixations.frame
+    seeds = _trial_seeds(fixations, metric_id, plan)
+    return _uniform_tensor(seeds, w, h, fixations.points.tobytes(), plan.n_for(fixations))
+
+
+def shuffled_draws(
+    bank: ShuffleBank, fixations: FixationSet, metric_id: str, plan: TrialPlan
+) -> np.ndarray:
+    """Every trial's shuffled draw as one read-only (T, n, 2) array; row t is trial t's.
+
+    The bank must be in the fixations' frame.
+    """
+    if tuple(bank.frame) != tuple(fixations.frame):
+        raise ValueError(f"shuffle bank frame {bank.frame} is not the fixations' {fixations.frame}")
+    pool = pooled_fixations(bank, fixations.image_id)
+    seeds = _trial_seeds(fixations, metric_id, plan)
+    points = pool.take(_pool_index_tensor(seeds, pool.shape[0], plan.n_for(fixations)), axis=0)
+    points.setflags(write=False)
+    return points
 
 
 def uniform_negative_trials(
     fixations: FixationSet, metric_id: str, plan: TrialPlan
 ) -> Iterator[np.ndarray]:
     """One uniform (n, 2) draw per trial of the plan, in trial order."""
-    n = plan.n_for(fixations)
-    _fit_draw_caches(plan.num_trials)
-    for trial in range(plan.num_trials):
-        seed = derive_trial_seed(plan.master_seed, fixations.image_id, metric_id, trial)
-        yield sample_uniform_nonfixated(fixations, n, seed)
+    yield from uniform_draws(fixations, metric_id, plan)
 
 
 def shuffled_negative_trials(
     bank: ShuffleBank, fixations: FixationSet, metric_id: str, plan: TrialPlan
 ) -> Iterator[np.ndarray]:
     """One shuffled (n, 2) draw per trial, in trial order, from a bank in the fixations' frame."""
-    if tuple(bank.frame) != tuple(fixations.frame):
-        raise ValueError(f"shuffle bank frame {bank.frame} is not the fixations' {fixations.frame}")
-    n = plan.n_for(fixations)
-    # pool once; draws stay identical to per-call sample_shuffled_nonfixated
-    pool = pooled_fixations(bank, fixations.image_id)
-    _fit_draw_caches(plan.num_trials)
-    for trial in range(plan.num_trials):
-        seed = derive_trial_seed(plan.master_seed, fixations.image_id, metric_id, trial)
-        yield pool[_shuffled_indices(seed, pool.shape[0], n)]
+    yield from shuffled_draws(bank, fixations, metric_id, plan)

@@ -164,6 +164,13 @@ def test_bad_blur_sweep_or_jobs_is_user_error(dataset, tmp_path, capsys, extra, 
     assert "saleval: error:" in err and message in err
 
 
+@pytest.mark.parametrize("epsilon", ["0", "-1", "nan"])
+def test_bad_epsilon_is_user_error_and_writes_no_records(dataset, tmp_path, capsys, epsilon):
+    assert _evaluate(dataset, tmp_path / "out", ["--epsilon", epsilon]) == 1
+    assert "epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "records.csv").exists()
+
+
 def test_unknown_metric_is_user_error():
     assert main(["evaluate", "--manifest", "x", "--out", "y", "--metrics", "vibes"]) == 1
 

@@ -241,6 +241,18 @@ def test_sjsd_in_unit_interval_and_positive_for_gt():
     assert ((0.0 <= vals) & (vals <= 1.0)).all()
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+def test_sskld_refuses_a_bad_epsilon(epsilon):
+    # an epsilon of 0 made every trial nan, a negative one finite wrong scores
+    fix, bank, g = _blob_setup()
+    plan = TrialPlan(num_trials=3, master_seed=2)
+    for score in (sskld, sskld_trials):
+        with pytest.raises(ValueError, match="epsilon"):
+            score(g, fix, bank, plan, epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        symmetric_kld(_hist([0.5, 0.5]), _hist([0.25, 0.75]), epsilon)
+
+
 def test_sjsd_zero_when_distributions_match():
     # negatives drawn from the same points as the fixations: a constant-value
     # region makes both histograms identical

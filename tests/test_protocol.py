@@ -191,6 +191,22 @@ def test_config_validates_metrics():
             EvalConfig(blur_sweep=sweep)
 
 
+def test_config_refuses_bad_numeric_knobs():
+    bad = [
+        ("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", float("nan")), ("epsilon", float("inf")),
+        ("bins", 1), ("bins", 2.5), ("bins", True), ("bins", 16.0),
+        ("emd_saturation", 0), ("emd_saturation", 1.5), ("emd_saturation", False),
+        ("trials", 0), ("trials", 2.5), ("trials", True),
+    ]
+    for field, value in bad:
+        with pytest.raises(ValueError, match=field):
+            EvalConfig(**{field: value})
+    # numpy integers are kept as int, so the config echoes into JSON unchanged
+    config = EvalConfig(trials=np.int64(7), bins=np.int32(2), emd_saturation=np.uint8(1))
+    assert config == EvalConfig(trials=7, bins=2, emd_saturation=1)
+    assert all(type(v) is int for v in (config.trials, config.bins, config.emd_saturation))
+
+
 def test_plan_must_run_the_configured_trials(tmp_path):
     manifest, bank = _tiny_setup(tmp_path)
     image = manifest.images[0]
@@ -317,34 +333,41 @@ def test_evaluate_pair_keeps_one_blurred_candidate_alive(tmp_path, monkeypatch):
     assert all(r.score is not None for r in records)
 
 
-def test_each_shuffled_draw_is_made_once_per_distinct_seed(tmp_path):
+def _generators_per_batch(monkeypatch, manifest, config) -> list:
+    """The seed of every generator shuffle builds while evaluate_batch runs, from cold caches."""
+    constructions = []
+    real_rng = shuffle._rng
+    monkeypatch.setattr(shuffle, "_rng", lambda seed: constructions.append(seed) or real_rng(seed))
+    shuffle._pool_index_tensor.cache_clear()
+    shuffle._uniform_tensor.cache_clear()
+    evaluate_batch(manifest, config, TrialPlan(num_trials=config.trials, master_seed=0))
+    return constructions
+
+
+SEEDED_METRICS = SHUFFLED_METRICS + ("auc_f",)
+
+
+def test_each_shuffled_draw_is_made_once_per_distinct_seed(tmp_path, monkeypatch):
     # the shuffled-protocol workload's size: 2 images at 256x192 with 40
-    # fixations, 5 models, the 5 shuffled metrics, 8 blur levels, 100 trials;
-    # one candidate's 5 x 100 draws fit the draw cache, so every candidate
-    # and model after the first reuses them
+    # fixations, 5 models, the 5 shuffled metrics plus auc_f, 8 blur levels,
+    # 100 trials; each (image, metric) tensor is drawn once, so every other
+    # candidate and model reuses it
     path = synth_dataset(tmp_path / "ds", num_images=2, frame=(256, 192), seed=3,
                          fixations_per_image=40, models=BASELINE_MODELS)
     manifest = load_manifest(path)
-    config = EvalConfig(metrics=SHUFFLED_METRICS)
-    plan = TrialPlan(num_trials=config.trials, master_seed=0)
-    shuffle._shuffled_indices.cache_clear()
-    evaluate_batch(manifest, config, plan)
-    info = shuffle._shuffled_indices.cache_info()
-    assert info.misses == len(manifest.images) * len(SHUFFLED_METRICS) * config.trials
-    assert info.hits > 0
+    config = EvalConfig(metrics=SEEDED_METRICS)
+    constructions = _generators_per_batch(monkeypatch, manifest, config)
+    assert len(constructions) == len(manifest.images) * len(SEEDED_METRICS) * config.trials
+    assert len(set(constructions)) == len(constructions)
 
 
-def test_the_draw_cache_holds_one_candidates_draws_above_the_default_trials(tmp_path):
-    # at 200 trials one candidate needs 5 x 200 shuffled draws, more than the
-    # cache holds at the default 100 trials; a cache that kept its size would
-    # remake every draw for each of the 2 x 2 x 2 candidates, 8,000 misses
+def test_the_draw_cache_holds_one_candidates_draws_above_the_default_trials(tmp_path, monkeypatch):
+    # at 200 trials each of the 2 x 2 x 2 candidates needs 6 x 200 draws; a
+    # cache that held fewer than one image's tensors would remake them
     path = synth_dataset(tmp_path / "ds", num_images=2, frame=(64, 48), seed=5,
                          fixations_per_image=10, models=BASELINE_MODELS[:2])
     manifest = load_manifest(path)
-    config = EvalConfig(trials=200, blur_sweep=(0.0, 2.0), metrics=SHUFFLED_METRICS)
-    plan = TrialPlan(num_trials=config.trials, master_seed=0)
-    shuffle._shuffled_indices.cache_clear()
-    evaluate_batch(manifest, config, plan)
-    info = shuffle._shuffled_indices.cache_info()
-    assert info.misses == len(manifest.images) * len(SHUFFLED_METRICS) * config.trials
-    assert info.hits == 3 * info.misses  # every other candidate reuses them
+    config = EvalConfig(trials=200, blur_sweep=(0.0, 2.0), metrics=SEEDED_METRICS)
+    constructions = _generators_per_batch(monkeypatch, manifest, config)
+    assert len(constructions) == len(manifest.images) * len(SEEDED_METRICS) * config.trials
+    assert len(set(constructions)) == len(constructions)

@@ -13,7 +13,9 @@ from saleval.shuffle import (
     pooled_fixations,
     sample_shuffled_nonfixated,
     sample_uniform_nonfixated,
+    shuffled_draws,
     shuffled_negative_trials,
+    uniform_draws,
     uniform_negative_trials,
 )
 
@@ -188,6 +190,14 @@ def test_trials_are_independent_and_indexed():
     assert any(not np.array_equal(samples[0], s) for s in samples[1:])
 
 
+def _counting_rng(monkeypatch) -> list:
+    """Patch shuffle._rng to record the seed of every generator it builds."""
+    constructions = []
+    real_rng = shuffle._rng
+    monkeypatch.setattr(shuffle, "_rng", lambda seed: constructions.append(seed) or real_rng(seed))
+    return constructions
+
+
 def test_shuffled_draws_are_memoized_without_changing_them(monkeypatch):
     bank = _bank()
     fs = FixationSet("a", [[1, 1], [2, 2], [3, 3]], (10, 10))
@@ -195,79 +205,114 @@ def test_shuffled_draws_are_memoized_without_changing_them(monkeypatch):
     pool = pooled_fixations(bank, "a")
     seeds = [derive_trial_seed(11, "a", "sauc", t) for t in range(6)]
     fresh = [pool[np.random.Generator(np.random.PCG64(s)).integers(0, len(pool), size=4)] for s in seeds]
-    constructions = []
-    real_rng = shuffle._rng
-    monkeypatch.setattr(shuffle, "_rng", lambda seed: constructions.append(seed) or real_rng(seed))
-    shuffle._shuffled_indices.cache_clear()
-    cold = list(shuffled_negative_trials(bank, fs, "sauc", plan))
-    warm = list(shuffled_negative_trials(bank, fs, "sauc", plan))
-    assert constructions == seeds  # the second pass built no generator
-    for want, a, b in zip(fresh, cold, warm):
-        assert np.array_equal(want, a) and np.array_equal(want, b)
-    # asking for the trials in another order gives the same draws
-    shuffle._shuffled_indices.cache_clear()
-    backwards = [sample_shuffled_nonfixated(bank, "a", 4, s) for s in reversed(seeds)]
-    assert all(np.array_equal(w, b) for w, b in zip(fresh, reversed(backwards)))
+    constructions = _counting_rng(monkeypatch)
+    shuffle._pool_index_tensor.cache_clear()
+    cold = shuffled_draws(bank, fs, "sauc", plan)
+    warm = shuffled_draws(bank, fs, "sauc", plan)
+    assert constructions == seeds  # the second call built no generator
+    assert cold.shape == warm.shape == (6, 4, 2)
+    for t, want in enumerate(fresh):
+        assert np.array_equal(want, cold[t]) and np.array_equal(want, warm[t])
+        assert np.array_equal(want, sample_shuffled_nonfixated(bank, "a", 4, seeds[t]))
+    assert all(np.array_equal(a, b) for a, b in zip(cold, shuffled_negative_trials(bank, fs, "sauc", plan)))
 
 
-def test_memoized_draws_are_read_only_and_keyed_by_pool_and_n():
-    shuffle._shuffled_indices.cache_clear()
-    idx = shuffle._shuffled_indices(99, 5, 3)
-    assert not idx.flags.writeable
+def test_memoized_draws_are_read_only_and_keyed_by_pool_and_n(monkeypatch):
+    fs = FixationSet("a", [[1, 1], [2, 2], [3, 3]], (10, 10))
+    bank = _bank()  # a pool of 5 points once "a" is left out
+    more = build_shuffle_bank(
+        [fs, FixationSet("b", [[x, 9 - x] for x in range(10)], (10, 10))], (10, 10)
+    )
+    plan = TrialPlan(num_trials=3, samples_per_trial=4, master_seed=99)
+    constructions = _counting_rng(monkeypatch)
+    shuffle._pool_index_tensor.cache_clear()
+    draws = shuffled_draws(bank, fs, "snss", plan)
+    assert not draws.flags.writeable
     with pytest.raises(ValueError):
-        idx[0] = 0
-    assert shuffle._shuffled_indices(99, 5, 3) is idx
-    other_pool = shuffle._shuffled_indices(99, 50, 3)
-    other_n = shuffle._shuffled_indices(99, 5, 4)
-    assert shuffle._shuffled_indices.cache_info().currsize == 3
-    assert other_pool is not idx and other_n is not idx and other_n.shape == (4,)
-    assert np.array_equal(other_pool, np.random.Generator(np.random.PCG64(99)).integers(0, 50, size=3))
+        draws[0, 0, 0] = 0
+    assert np.array_equal(shuffled_draws(bank, fs, "snss", plan), draws)
+    assert len(constructions) == 3
+    # another pool size and another n each draw their own tensor
+    other_pool = shuffled_draws(more, fs, "snss", plan)
+    other_n = shuffled_draws(bank, fs, "snss", TrialPlan(3, samples_per_trial=5, master_seed=99))
+    assert len(constructions) == 9
+    assert shuffle._pool_index_tensor.cache_info().currsize == 3
+    assert other_n.shape == (3, 5, 2) and not other_n.flags.writeable
+    for t, seed in enumerate(constructions[:3]):
+        assert np.array_equal(other_pool[t], sample_shuffled_nonfixated(more, "a", 4, seed))
+        assert np.array_equal(other_n[t], sample_shuffled_nonfixated(bank, "a", 5, seed))
 
 
 def test_uniform_draws_are_memoized_without_changing_them(monkeypatch):
     fs = FixationSet("a", [[3, 3], [4, 4], [0, 1]], (9, 7))
-    # pinned from the unmemoized sampler: 6 of 60 free pixels takes the
-    # rejection branch, 20 of 60 the permutation branch
+    # pinned from the per-seed sampler of earlier versions: 6 of 60 free
+    # pixels takes the rejection branch, 20 of 60 the permutation branch
     rejection = [[6, 1], [6, 4], [5, 0], [4, 1], [2, 2], [1, 2]]
     permutation = [[7, 0], [1, 5], [4, 3], [3, 0], [1, 2], [0, 3], [0, 4], [3, 1], [5, 0],
                    [5, 1], [5, 5], [0, 5], [6, 1], [0, 0], [2, 6], [6, 2], [1, 1], [3, 2],
                    [5, 3], [3, 4]]
-    constructions = []
-    real_rng = shuffle._rng
-    monkeypatch.setattr(shuffle, "_rng", lambda seed: constructions.append(seed) or real_rng(seed))
-    shuffle._uniform_points.cache_clear()
-    for _ in range(2):
-        assert sample_uniform_nonfixated(fs, 6, seed=2024).tolist() == rejection
-        assert sample_uniform_nonfixated(fs, 20, seed=2024).tolist() == permutation
-    assert constructions == [2024, 2024]  # the second pass built no generator
-    plan = TrialPlan(num_trials=5, samples_per_trial=4, master_seed=7)
-    cold = list(uniform_negative_trials(fs, "auc_f", plan))
-    warm = list(uniform_negative_trials(fs, "auc_f", plan))
-    assert all(a is b for a, b in zip(cold, warm))
-    assert len(constructions) == 2 + 5
+    assert sample_uniform_nonfixated(fs, 6, seed=2024).tolist() == rejection
+    assert sample_uniform_nonfixated(fs, 20, seed=2024).tolist() == permutation
+    for n in (6, 20):
+        plan = TrialPlan(num_trials=5, samples_per_trial=n, master_seed=7)
+        seeds = [derive_trial_seed(7, "a", "auc_f", t) for t in range(5)]
+        constructions = _counting_rng(monkeypatch)
+        shuffle._uniform_tensor.cache_clear()
+        cold = uniform_draws(fs, "auc_f", plan)
+        warm = uniform_draws(fs, "auc_f", plan)
+        assert warm is cold and cold.shape == (5, n, 2)
+        assert constructions == seeds  # the second call built no generator
+        monkeypatch.undo()
+        for t, seed in enumerate(seeds):
+            assert np.array_equal(cold[t], sample_uniform_nonfixated(fs, n, seed))
+        assert all(np.array_equal(a, b) for a, b in zip(cold, uniform_negative_trials(fs, "auc_f", plan)))
+    # the pinned draws are the rows of a tensor made with their seed
+    for n, pinned in ((6, rejection), (20, permutation)):
+        tensor = shuffle._uniform_tensor((1, 2024, 3), 9, 7, fs.points.tobytes(), n)
+        assert tensor[1].tolist() == pinned
 
 
-def test_memoized_uniform_draws_are_read_only_and_keyed_by_fixations_frame_and_n():
-    shuffle._uniform_points.cache_clear()
+def test_memoized_uniform_draws_are_read_only_and_keyed_by_fixations_frame_and_n(monkeypatch):
     fs = FixationSet("a", [[1, 1], [2, 2]], (16, 16))
-    pts = sample_uniform_nonfixated(fs, 5, seed=3)
+    plan = TrialPlan(num_trials=2, samples_per_trial=5, master_seed=3)
+    constructions = _counting_rng(monkeypatch)
+    shuffle._uniform_tensor.cache_clear()
+    pts = uniform_draws(fs, "auc_f", plan)
     assert not pts.flags.writeable
     with pytest.raises(ValueError):
-        pts[0, 0] = 0
+        pts[0, 0, 0] = 0
     # another fixation set with the same id, another frame, another n
     moved = FixationSet("a", [[1, 1], [2, 3]], (16, 16))
     wider = FixationSet("a", [[1, 1], [2, 2]], (17, 16))
     others = (
-        sample_uniform_nonfixated(moved, 5, seed=3),
-        sample_uniform_nonfixated(wider, 5, seed=3),
-        sample_uniform_nonfixated(fs, 6, seed=3),
+        (moved, uniform_draws(moved, "auc_f", plan)),
+        (wider, uniform_draws(wider, "auc_f", plan)),
+        (fs, uniform_draws(fs, "auc_f", TrialPlan(2, samples_per_trial=6, master_seed=3))),
     )
-    assert shuffle._uniform_points.cache_info().currsize == 4
-    for sample, source in zip(others, (moved, wider, fs)):
-        fresh = shuffle._uniform_points.__wrapped__(
-            3, *source.frame, source.points.tobytes(), len(sample)
-        )
-        assert np.array_equal(sample, fresh)
+    assert uniform_draws(fs, "auc_f", plan) is pts
+    assert len(constructions) == 8
+    assert shuffle._uniform_tensor.cache_info().currsize == 4
+    seeds = constructions[:2]
+    for source, tensor in others:
+        assert not tensor.flags.writeable
+        for t, seed in enumerate(seeds):
+            assert np.array_equal(tensor[t], sample_uniform_nonfixated(source, tensor.shape[1], seed))
+
+
+def test_trial_plan_refuses_non_integral_fields():
+    for field in ("num_trials", "samples_per_trial", "master_seed"):
+        for bad in (2.5, 2.0, True, "3", None if field != "samples_per_trial" else "x"):
+            with pytest.raises(ValueError, match=field):
+                TrialPlan(**{field: bad})
+    with pytest.raises(ValueError, match="samples_per_trial"):
+        TrialPlan(samples_per_trial=0)
+    # numpy integers are stored as int: same digest, same seeds, same draws
+    plan = TrialPlan(num_trials=np.int64(4), samples_per_trial=np.int32(3), master_seed=np.uint8(7))
+    same = TrialPlan(num_trials=4, samples_per_trial=3, master_seed=7)
+    assert plan == same and plan.digest() == same.digest()
+    assert all(type(v) is int for v in (plan.num_trials, plan.samples_per_trial, plan.master_seed))
+    fs = FixationSet("a", [[1, 1], [2, 2], [3, 3]], (10, 10))
+    assert np.array_equal(shuffled_draws(_bank(), fs, "sauc", plan), shuffled_draws(_bank(), fs, "sauc", same))
 
 
 @pytest.mark.parametrize("bank_frame", [(64, 48), (16, 12)], ids=["larger", "smaller"])
