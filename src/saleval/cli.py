@@ -114,8 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="parallel worker processes, >= 1 (default 1); at 1, large maps are "
-        "blurred on all the CPUs the process may use",
+        help="parallel worker processes, >= 1 (default 1), at most one per image; each "
+        "process holds one image's density map at a time; at 1, large maps are blurred "
+        "on all the CPUs the process may use",
     )
     ev.add_argument("--strict", action="store_true", help="missing scores fail the run")
 

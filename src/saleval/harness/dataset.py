@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,8 +109,11 @@ def load_manifest(path) -> DatasetManifest:
     if raw.get("manifest_version") != MANIFEST_VERSION:
         raise ManifestError(f"{path}: manifest_version must be {MANIFEST_VERSION}")
     ppd = raw.get("pixels_per_degree")
-    if not isinstance(ppd, (int, float)) or ppd <= 0:
-        raise ManifestError(f"{path}: pixels_per_degree must be a positive number")
+    # json.loads reads Infinity and NaN as floats, a bool is an int, and an
+    # integer above the largest float would overflow float()
+    number = isinstance(ppd, (int, float)) and not isinstance(ppd, bool)
+    if not (number and 0 < ppd <= sys.float_info.max):
+        raise ManifestError(f"{path}: pixels_per_degree must be a finite number > 0, not {ppd!r}")
     root = path.parent
 
     images = []

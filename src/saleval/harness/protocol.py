@@ -4,11 +4,14 @@ Each model map is resized to the image's native size, peak-normalized,
 then swept over a set of blur widths; every metric independently keeps
 its best blur level, since blurring helps some metrics and hurts others.
 Degenerate inputs turn into missing scores, never into fabricated values
-and never into batch aborts. Each image's density map is prepared once
-(maps.prepare), and the blur search works one candidate at a time: it
-blurs a candidate, prepares it once, scores it with every metric, then
-drops it. So the metrics share each candidate's statistics and its one
-ascending sort, and only one blurred candidate is alive at a time.
+and never into batch aborts. A batch works one image at a time: the
+image's density map is built and prepared once (maps.prepare), serves
+every model of that image, and is freed before the next image starts, so
+one density map per process is alive at a time. The blur search works
+one candidate at a time: it blurs a candidate, prepares it once, scores
+it with every metric, then drops it. So the metrics share each
+candidate's statistics and its one ascending sort, and only one blurred
+candidate is alive at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from ..errors import DegenerateInputError
 from ..maps import (
     FixationSet,
     PreparedMap,
+    _convolve1d,
     density_from_fixations,
     gaussian_blur,
     normalize_map,
@@ -238,12 +242,27 @@ def _bank_for_frame(manifest: DatasetManifest, frame: tuple[int, int]) -> Shuffl
     return build_shuffle_bank([manifest.fixations[im.image_id] for im in manifest.images], frame)
 
 
-def _evaluate_unit(args):
-    model_id, image, map_path, fix, g, bank, plan, config = args
+def _evaluate_image(unit) -> list[EvaluationRecord]:
+    """Every model's records on one image: the batch's unit of work.
+
+    The unit is (image, fixations, frame bank, fwhm_px, plan, config,
+    ((model_id, map path), ...)). The density map is built here, and only
+    if a metric needs it, so it and what the metrics derive from it are
+    freed when the unit returns, before the next image starts.
+    """
+    image, fix, bank, fwhm_px, plan, config, models = unit
     from ..io import read_pgm
 
-    s_raw = read_pgm(map_path)
-    return evaluate_pair(s_raw, image, fix, g, bank, plan, config, model_id=model_id)
+    g = None
+    if any(_METRICS[m].needs_g for m in config.metrics):
+        g = _prepared_in_place(density_from_fixations(fix, fwhm_px))
+    return [
+        rec
+        for model_id, map_path in models
+        for rec in evaluate_pair(
+            read_pgm(map_path), image, fix, g, bank, plan, config, model_id=model_id
+        )
+    ]
 
 
 def evaluate_batch(
@@ -251,43 +270,35 @@ def evaluate_batch(
 ) -> list[EvaluationRecord]:
     """Run the full protocol over every (model, image) pair of a manifest.
 
-    Work units are pure, so they may fan out to ``jobs`` worker processes
-    (at least 1); results are sorted afterwards and do not depend on
-    execution order. At ``jobs=1`` each large-map blur also runs on the
-    CPUs this process may use (see ``maps.gaussian_blur``). Needs at least
-    2 images (the shuffled metrics' negative source).
+    One image is one work unit: it builds the image's density map (if a
+    metric needs it) and scores every model's map against it, so one
+    density map per process is alive at a time, whatever the number of
+    images. Units are pure, so at ``jobs`` > 1 they fan out to
+    min(jobs, images) worker processes; the parent builds no density map.
+    Results are sorted afterwards and do not depend on execution order.
+    At ``jobs=1`` each large-map blur also runs on the CPUs this process
+    may use (see ``maps.gaussian_blur``). Needs at least 2 images (the
+    shuffled metrics' negative source).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1: {jobs}")
     if len(manifest.images) < 2:
         raise ValueError("evaluation needs at least 2 images")
     banks: dict[tuple[int, int], ShuffleBank] = {}
-    need_g = any(_METRICS[m].needs_g for m in config.metrics)
     units = []
     for image in manifest.images:
         frame = (image.width, image.height)
         if frame not in banks:
             banks[frame] = _bank_for_frame(manifest, frame)
         fix = manifest.fixations[image.image_id]
-        g = _prepared_in_place(density_from_fixations(fix, manifest.fwhm_px)) if need_g else None
-        for model in manifest.models:
-            units.append(
-                (
-                    model.model_id,
-                    image,
-                    manifest.root / model.maps[image.image_id],
-                    fix,
-                    g,
-                    banks[frame],
-                    plan,
-                    config,
-                )
-            )
+        models = tuple((m.model_id, manifest.root / m.maps[image.image_id]) for m in manifest.models)
+        units.append((image, fix, banks[frame], manifest.fwhm_px, plan, config, models))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_evaluate_unit, units))
+        _convolve1d()  # import scipy before the workers fork, so that they share it
+        with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
+            chunks = list(pool.map(_evaluate_image, units))
     else:
-        chunks = [_evaluate_unit(u) for u in units]
+        chunks = [_evaluate_image(u) for u in units]
     records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda r: (r.model_id, r.image_id, r.metric_id))
     return records

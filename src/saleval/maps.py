@@ -212,6 +212,13 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _convolve1d():
+    """``scipy.ndimage.convolve1d``, imported on first use so that only blurring loads scipy."""
+    from scipy.ndimage import convolve1d
+
+    return convolve1d
+
+
 def gaussian_blur(m, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with a border-renormalized truncated kernel.
 
@@ -239,8 +246,7 @@ def gaussian_blur(m, sigma: float) -> np.ndarray:
     array holds, and every band writes its own slice of a shared output, so
     the result is bit-identical to one whole-array call per pass.
     """
-    from scipy.ndimage import convolve1d
-
+    convolve1d = _convolve1d()
     if isinstance(m, PreparedMap):
         peak, floor, m = m.peak, m.floor, m.values
     else:

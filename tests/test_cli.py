@@ -171,6 +171,16 @@ def test_bad_epsilon_is_user_error_and_writes_no_records(dataset, tmp_path, caps
     assert not (tmp_path / "out" / "records.csv").exists()
 
 
+def test_bad_pixels_per_degree_is_user_error_and_writes_no_records(dataset, tmp_path, capsys):
+    manifest = dataset / "manifest.json"
+    raw = json.loads(manifest.read_text())
+    raw["pixels_per_degree"] = float("inf")
+    manifest.write_text(json.dumps(raw))
+    assert _evaluate(dataset, tmp_path / "out", ["--metrics", "cc"]) == 1
+    assert "pixels_per_degree" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "records.csv").exists()
+
+
 def test_unknown_metric_is_user_error():
     assert main(["evaluate", "--manifest", "x", "--out", "y", "--metrics", "vibes"]) == 1
 

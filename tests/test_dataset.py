@@ -118,6 +118,20 @@ def test_manifest_rejects_wrong_version(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "ppd",
+    ["Infinity", "-Infinity", "NaN", "true", "0", "-1", pytest.param("1" + "0" * 400, id="10**400")],
+)
+def test_manifest_rejects_bad_pixels_per_degree(tmp_path, ppd):
+    path = synth_dataset(tmp_path / "ds", num_images=2, frame=(16, 12), seed=8,
+                         fixations_per_image=4)
+    raw = json.loads(path.read_text())
+    raw["pixels_per_degree"] = "PPD"
+    path.write_text(json.dumps(raw).replace('"PPD"', ppd))
+    with pytest.raises(ManifestError, match="pixels_per_degree"):
+        load_manifest(path)
+
+
 def test_manifest_missing_file(tmp_path):
     with pytest.raises(ManifestError, match="not found"):
         load_manifest(tmp_path / "nope.json")

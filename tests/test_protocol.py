@@ -273,7 +273,7 @@ def _scored_on_raw_arrays(metric, fix, g, bank, plan):
     }[metric]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2, 4])
 def test_batch_on_prepared_maps_equals_each_metric_on_raw_arrays(tmp_path, jobs):
     # the protocol prepares g once per image and each candidate once; the
     # public functions, handed fresh plain arrays, must give the same bits
@@ -331,6 +331,71 @@ def test_evaluate_pair_keeps_one_blurred_candidate_alive(tmp_path, monkeypatch):
     assert alive_at_blur == [0] * len(config.blur_sweep)
     assert sum(live) == 0
     assert all(r.score is not None for r in records)
+
+
+DENSITY_METRICS = ("cc", "sim", "auc_s")
+
+
+def test_evaluate_batch_keeps_one_density_map_alive(tmp_path, monkeypatch):
+    # an image's density map, with what cc, sim and auc_s keep of it, is
+    # freed before the next image's is built
+    manifest, _ = _tiny_setup(tmp_path)
+    plan = TrialPlan(num_trials=3, master_seed=2)
+    config = EvalConfig(trials=3, blur_sweep=(0.0, 2.0), metrics=DENSITY_METRICS)
+    density = protocol.density_from_fixations
+    live = []  # one flag per density map, cleared when it is freed
+    alive_at_build = []
+
+    def counted_density(fix, fwhm_px):
+        alive_at_build.append(sum(live))
+        out = density(fix, fwhm_px)
+        live.append(True)
+        weakref.finalize(out, live.__setitem__, len(live) - 1, False)
+        return out
+
+    monkeypatch.setattr(protocol, "density_from_fixations", counted_density)
+    records = evaluate_batch(manifest, config, plan, jobs=1)
+    assert alive_at_build == [0] * len(manifest.images)
+    assert sum(live) == 0
+    assert all(r.score is not None for r in records)
+
+
+def test_pooled_batch_builds_no_density_map_in_the_parent(tmp_path, monkeypatch):
+    manifest, _ = _tiny_setup(tmp_path)
+    plan = TrialPlan(num_trials=4, master_seed=8)
+    config = EvalConfig(trials=4, blur_sweep=(0.0, 2.0), metrics=DENSITY_METRICS + ("sauc",))
+    serial = evaluate_batch(manifest, config, plan, jobs=1)
+    density = protocol.density_from_fixations
+    built_here = []  # a forked worker appends to its own copy
+
+    def counted_density(fix, fwhm_px):
+        built_here.append(fix.image_id)
+        return density(fix, fwhm_px)
+
+    monkeypatch.setattr(protocol, "density_from_fixations", counted_density)
+    assert evaluate_batch(manifest, config, plan, jobs=2) == serial
+    assert built_here == []
+
+
+def test_pool_has_at_most_one_worker_per_image(tmp_path, monkeypatch):
+    path = synth_dataset(tmp_path / "ds", num_images=3, frame=(32, 24), seed=4,
+                         fixations_per_image=8, models=("gt_copy",))
+    manifest = load_manifest(path)
+    sizes = []
+
+    class RecordedPool(protocol.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            if max_workers > len(manifest.images):  # refused before any process starts
+                raise RuntimeError(f"{max_workers} workers for {len(manifest.images)} images")
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "ProcessPoolExecutor", RecordedPool)
+    plan = TrialPlan(num_trials=3, master_seed=1)
+    config = EvalConfig(trials=3, blur_sweep=(0.0,), metrics=("snss",))
+    records = evaluate_batch(manifest, config, plan, jobs=8)
+    assert sizes == [3]
+    assert len(records) == 3
 
 
 def _generators_per_batch(monkeypatch, manifest, config) -> list:
