@@ -249,7 +249,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_validate(_args) -> int:
-    from .metrics_fixation import auc_of_curve, auc_pair_oracle, roc_from_samples
+    from .metrics_fixation import (
+        _sample_auc_rows,
+        auc_of_curve,
+        auc_pair_oracle,
+        roc_from_samples,
+    )
     from .metrics_histogram import (
         GroundDistanceSpec,
         ValueHistogram,
@@ -271,6 +276,20 @@ def _cmd_validate(_args) -> int:
         worst = max(worst, diff - tol)
     ok &= worst <= 0
     print(f"[{'PASS' if worst <= 0 else 'FAIL'}] AUC threshold grid vs pair-counting oracle")
+
+    # the kernel sauc, auc_f and auc_s score with, on values at the grid's
+    # own levels, where grid ties are the values' ties and both are exact
+    levels = np.linspace(1.0, 0.0, 256)
+    grid_rng = np.random.default_rng(20240502)
+    worst = 0.0
+    for _ in range(200):
+        pos = levels[np.rint(grid_rng.beta(2, 1, int(grid_rng.integers(1, 129))) * 255).astype(int)]
+        shape = (int(grid_rng.integers(1, 9)), int(grid_rng.integers(1, 129)))
+        neg = levels[np.rint(grid_rng.beta(1, 2, shape) * 255).astype(int)]
+        rows = _sample_auc_rows(pos, neg)
+        worst = max(worst, *(abs(r - auc_pair_oracle(pos, n)) for r, n in zip(rows, neg)))
+    ok &= worst <= 1e-15
+    print(f"[{'PASS' if worst <= 1e-15 else 'FAIL'}] AUC grid kernel vs pair-counting oracle on grid levels")
 
     worst = 0.0
     for _ in range(200):

@@ -20,8 +20,10 @@ import numpy as np
 from ..errors import ManifestError
 from ..io import read_fixations, write_fixations, write_pgm
 from ..maps import (
+    FWHM_TO_SIGMA,
     FixationSet,
     centered_gaussian_baseline,
+    check_blur_sigma,
     density_from_fixations,
     gaussian_blur,
     invert_map,
@@ -96,7 +98,8 @@ def load_manifest(path) -> DatasetManifest:
 
     Checks the schema version, the tag enumerations, that every referenced
     file exists, that every model covers every image, and that every
-    fixation file parses with coordinates inside its declared frame.
+    fixation file parses with coordinates inside its declared frame, and
+    that pixels_per_degree gives a density blur gaussian_blur can build.
     Errors name the offending entry.
     """
     path = Path(path)
@@ -114,6 +117,10 @@ def load_manifest(path) -> DatasetManifest:
     number = isinstance(ppd, (int, float)) and not isinstance(ppd, bool)
     if not (number and 0 < ppd <= sys.float_info.max):
         raise ManifestError(f"{path}: pixels_per_degree must be a finite number > 0, not {ppd!r}")
+    try:
+        check_blur_sigma(float(ppd) * FWHM_TO_SIGMA)  # the density map's blur
+    except ValueError as exc:
+        raise ManifestError(f"{path}: pixels_per_degree {ppd!r} is too large: {exc}") from None
     root = path.parent
 
     images = []

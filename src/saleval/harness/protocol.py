@@ -26,6 +26,7 @@ from ..maps import (
     FixationSet,
     PreparedMap,
     _convolve1d,
+    check_blur_sigma,
     density_from_fixations,
     gaussian_blur,
     normalize_map,
@@ -88,6 +89,10 @@ def _blur_levels(sweep) -> list[float]:
         raise ValueError(
             f"blur sweep must be non-empty, contain 0 and be finite and >= 0: {tuple(sweep)}"
         )
+    try:
+        check_blur_sigma(levels[-1])
+    except ValueError as exc:
+        raise ValueError(f"blur sweep {tuple(sweep)}: {exc}") from None
     return levels
 
 
@@ -96,10 +101,11 @@ class EvalConfig:
     """Knobs of the evaluation protocol; echoed verbatim into every report.
 
     The blur sweep must be non-empty, contain 0 (so "no blur" is always a
-    candidate) and hold no negative or non-finite sigma. trials,
-    emd_saturation (both >= 1) and bins (>= 2) must be integers, and
-    epsilon finite and > 0. A config that breaks these rules, names an
-    unknown metric or an unknown sign mode is refused when built.
+    candidate) and hold no negative or non-finite sigma, nor one whose
+    kernel would pass maps.MAX_BLUR_RADIUS. trials, emd_saturation (both
+    >= 1) and bins (>= 2) must be integers, and epsilon finite and > 0. A
+    config that breaks these rules, names an unknown metric or an unknown
+    sign mode is refused when built.
     """
 
     trials: int = 100

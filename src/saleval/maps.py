@@ -42,9 +42,11 @@ import numpy as np
 __all__ = [
     "FWHM_TO_SIGMA",
     "FixationSet",
+    "MAX_BLUR_RADIUS",
     "PreparedMap",
     "as_map",
     "centered_gaussian_baseline",
+    "check_blur_sigma",
     "density_from_fixations",
     "gaussian_blur",
     "invert_map",
@@ -205,6 +207,29 @@ def _linear_taps(coords: np.ndarray, size: int):
     return i0, w0, w1, np.minimum(i0 + 1, size - 1)
 
 
+# The widest blur kernel built: radius ceil(3 * sigma) <= MAX_BLUR_RADIUS, so
+# at most 2 * 2**16 + 1 taps (1 MB). The kernel is built whatever the frame,
+# so without a cap a sigma of 1e9 would ask for a 48 GB kernel. Taps beyond
+# the frame add nothing, but truncating the kernel to the frame would
+# renormalize it differently and move scores, so a wider sigma is refused.
+# The cap is far above the default sweep's largest sigma (32) and the density
+# sigma (0.42 * pixels_per_degree, 3.4 at synth_dataset's default of 8).
+MAX_BLUR_RADIUS = 2**16
+
+
+def check_blur_sigma(sigma: float) -> None:
+    """Refuse (ValueError) a sigma that is negative, not finite or wider than MAX_BLUR_RADIUS allows."""
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite: {sigma}")
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0")
+    if 3.0 * sigma > MAX_BLUR_RADIUS:
+        raise ValueError(
+            f"sigma {sigma:g} needs a kernel radius above {MAX_BLUR_RADIUS} px"
+            f" (sigma at most {MAX_BLUR_RADIUS / 3:g})"
+        )
+
+
 def _gaussian_kernel(sigma: float) -> np.ndarray:
     radius = math.ceil(3.0 * sigma)
     x = np.arange(-radius, radius + 1, dtype=np.float64)
@@ -225,7 +250,9 @@ def gaussian_blur(m, sigma: float) -> np.ndarray:
     Kernel radius is ceil(3 * sigma). Near the borders the kernel is
     renormalized by the mass that falls inside the frame, so a constant map
     blurs to itself and interior-supported mass is preserved. sigma = 0
-    returns a copy of the input; a negative or non-finite sigma is refused.
+    returns a copy of the input; a negative or non-finite sigma, or one
+    whose kernel would pass MAX_BLUR_RADIUS, is refused before anything is
+    allocated.
     m may be a ``PreparedMap``, whose kept peak and floor then serve every
     sigma of a sweep without checking the map again; the result is always
     a plain array.
@@ -246,16 +273,13 @@ def gaussian_blur(m, sigma: float) -> np.ndarray:
     array holds, and every band writes its own slice of a shared output, so
     the result is bit-identical to one whole-array call per pass.
     """
+    check_blur_sigma(sigma)
     convolve1d = _convolve1d()
     if isinstance(m, PreparedMap):
         peak, floor, m = m.peak, m.floor, m.values
     else:
         m = as_map(m)
         peak, floor = m.max(), m.min()
-    if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite: {sigma}")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
     if sigma == 0 or peak == floor:
         # constant maps blur to themselves exactly; skipping the convolution
         # avoids float ripple that would fake variance downstream

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from saleval import maps
 from saleval.cli import main
 from saleval.harness import EvalConfig, read_records
 
@@ -135,8 +136,9 @@ def test_rank_command_concordant_datasets(dataset, tmp_path):
     assert all(v == 1.0 for v in values)
 
 
-def test_validate_command():
+def test_validate_command(capsys):
     assert main(["validate"]) == 0
+    assert "[PASS] AUC grid kernel vs pair-counting oracle on grid levels" in capsys.readouterr().out
 
 
 def test_missing_manifest_is_user_error(tmp_path):
@@ -162,6 +164,15 @@ def test_bad_blur_sweep_or_jobs_is_user_error(dataset, tmp_path, capsys, extra, 
     assert _evaluate(dataset, tmp_path / "out", extra) == 1
     err = capsys.readouterr().err
     assert "saleval: error:" in err and message in err
+
+
+def test_blur_sweep_too_wide_to_build_is_user_error_and_writes_no_records(
+    dataset, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(maps, "_gaussian_kernel", lambda sigma: pytest.fail("kernel built"))
+    assert _evaluate(dataset, tmp_path / "out", ["--blur-sweep", "0,1e9"]) == 1
+    assert "blur sweep" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "records.csv").exists()
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-1", "nan"])

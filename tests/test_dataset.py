@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from saleval import maps
 from saleval.errors import ManifestError
 from saleval.harness import load_manifest, synth_dataset
 from saleval.io import read_pgm
@@ -128,6 +129,17 @@ def test_manifest_rejects_bad_pixels_per_degree(tmp_path, ppd):
     raw = json.loads(path.read_text())
     raw["pixels_per_degree"] = "PPD"
     path.write_text(json.dumps(raw).replace('"PPD"', ppd))
+    with pytest.raises(ManifestError, match="pixels_per_degree"):
+        load_manifest(path)
+
+
+def test_manifest_refuses_a_density_blur_too_wide_to_build(tmp_path, monkeypatch):
+    path = synth_dataset(tmp_path / "ds", num_images=2, frame=(16, 12), seed=8,
+                         fixations_per_image=4)
+    raw = json.loads(path.read_text())
+    raw["pixels_per_degree"] = 1e12
+    path.write_text(json.dumps(raw))
+    monkeypatch.setattr(maps, "_gaussian_kernel", lambda sigma: pytest.fail("kernel built"))
     with pytest.raises(ManifestError, match="pixels_per_degree"):
         load_manifest(path)
 

@@ -156,6 +156,24 @@ def test_blur_negative_sigma_rejected():
             gaussian_blur(np.ones((3, 3)), sigma)
 
 
+def _no_kernel(sigma):
+    raise AssertionError(f"a kernel was built for sigma {sigma}")
+
+
+def test_blur_refuses_a_sigma_whose_kernel_cannot_be_built(monkeypatch):
+    # a radius of 3e9 taps would be a 48 GB kernel: refused before it is built
+    monkeypatch.setattr(maps, "_gaussian_kernel", _no_kernel)
+    for m in (np.eye(3), np.ones((3, 3))):  # a constant map is refused too
+        with pytest.raises(ValueError, match="radius"):
+            gaussian_blur(m, 1e9)
+    with pytest.raises(ValueError, match="radius"):
+        gaussian_blur(np.eye(3), (maps.MAX_BLUR_RADIUS + 1) / 3)
+    maps.check_blur_sigma(maps.MAX_BLUR_RADIUS / 3)  # the widest kernel allowed
+    for sigma in (-1.0, math.inf, math.nan, 1e9, 1e308):
+        with pytest.raises(ValueError, match="sigma"):
+            maps.check_blur_sigma(sigma)
+
+
 def _two_pass_blur(m, sigma):
     # the blur as one whole-array convolve1d per axis, one division by the
     # outer product of the in-frame kernel masses, then the clamp at the peak

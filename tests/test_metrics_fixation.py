@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from saleval.maps import (
     invert_map,
 )
 from saleval.metrics_fixation import (
+    _sample_auc_rows,
     auc_f,
     auc_of_curve,
     auc_pair_oracle,
@@ -25,7 +28,9 @@ from saleval.metrics_fixation import (
 from saleval.shuffle import (
     TrialPlan,
     build_shuffle_bank,
+    shuffled_draws,
     shuffled_negative_trials,
+    uniform_draws,
     uniform_negative_trials,
 )
 
@@ -308,6 +313,42 @@ def test_roc_is_the_one_row_case_with_ties_on_the_grid(tie_case):
     assert roc_from_samples([0.5], [curve.thresholds[3]]).fpr[3] == 1.0
 
 
+def _floor_to_grid(values):
+    # each value lowered to the highest threshold of the grid it reaches:
+    # pair counting on these levels ties exactly the values the grid cannot
+    # tell apart, so the grid AUC and the oracle agree exactly
+    thresholds = np.linspace(1.0, 0.0, 256)
+    return thresholds[np.argmax(values[..., None] >= thresholds, axis=-1)]
+
+
+@pytest.mark.parametrize("samples", [None, 7, 40])
+@pytest.mark.parametrize("metric", ["sauc", "auc_f"])
+def test_grid_kernel_is_pair_counting_on_grid_levels(tie_case, samples, metric):
+    s, fix, bank = tie_case
+    plan = TrialPlan(num_trials=9, samples_per_trial=samples, master_seed=5)
+    pos = s[fix.points[:, 1], fix.points[:, 0]]
+    if metric == "sauc":
+        draws = shuffled_draws(bank, fix, "sauc", plan)
+        score = sauc(s, fix, bank, plan).value
+    else:
+        draws = uniform_draws(fix, "auc_f", plan)
+        score = auc_f(s, fix, plan).value
+    neg = s[draws[..., 1], draws[..., 0]]  # P = 15 positives, N = samples negatives
+    oracle = [auc_pair_oracle(_floor_to_grid(pos), _floor_to_grid(row)) for row in neg]
+    assert _sample_auc_rows(pos, neg).tolist() == oracle
+    assert score == np.mean(oracle)
+
+
+def test_grid_kernel_is_pair_counting_on_random_grid_levels():
+    rng = np.random.default_rng(17)
+    levels = np.linspace(1.0, 0.0, 256)
+    for _ in range(100):
+        pos = levels[rng.integers(0, 256, rng.integers(1, 50))]
+        neg = levels[np.rint(rng.beta(1, 2, (rng.integers(1, 6), rng.integers(1, 50))) * 255).astype(int)]
+        oracle = [auc_pair_oracle(pos, row) for row in neg]
+        assert _sample_auc_rows(pos, neg).tolist() == oracle
+
+
 @pytest.mark.parametrize("point", [[-1, 0], [0, -1], [4, 0], [0, 3]])
 def test_nss_at_points_refuses_points_outside_the_map(point):
     # at x = -1 numpy indexing would read the last column without complaint
@@ -368,6 +409,8 @@ def test_sim_is_the_intersection_of_np_histogram_masses(bins, shape):
 
 @pytest.mark.parametrize("shape", NUMPY_FORM_SHAPES)
 def test_auc_s_is_the_two_sort_formula(shape):
+    # the area is the exact pair count over grid buckets, rounded once; the
+    # old trapezoid over the same two sorts stays within one rounding of it
     rng = np.random.default_rng(shape[0] * 104729 + shape[1])
     for _ in range(6):
         s, g = _random_pair(rng, shape)
@@ -379,8 +422,13 @@ def test_auc_s_is_the_two_sort_formula(shape):
         thresholds = np.linspace(1.0, 0.0, 256)
         n_hit = n_pos - np.searchsorted(np.sort(s[gt]), thresholds, side="left")
         n_sal = s.size - np.searchsorted(np.sort(s, axis=None), thresholds, side="left")
-        tpr = n_hit / n_pos
-        fpr = (n_sal - n_hit) / (s.size - n_pos)
-        y = np.concatenate(([0.0], tpr, [1.0]))
-        x = np.concatenate(([0.0], fpr, [1.0]))
-        assert auc_s(s, g) == float(np.trapezoid(y, x))
+        n_neg = s.size - n_pos
+        # per bucket, highest first: values that reach threshold i but not i - 1
+        pos = np.diff(n_hit, prepend=0, append=n_pos)
+        neg = np.diff(n_sal - n_hit, prepend=0, append=n_neg)
+        above = np.concatenate(([0], np.cumsum(pos)[:-1]))
+        wins = sum(int(b) * (2 * int(a) + int(p)) for b, a, p in zip(neg, above, pos))
+        assert auc_s(s, g) == float(Fraction(wins, 2 * n_pos * n_neg))
+        y = np.concatenate(([0.0], n_hit / n_pos, [1.0]))
+        x = np.concatenate(([0.0], (n_sal - n_hit) / n_neg, [1.0]))
+        assert abs(auc_s(s, g) - float(np.trapezoid(y, x))) <= 2.2e-16

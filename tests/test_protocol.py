@@ -186,7 +186,8 @@ def test_config_validates_metrics():
     with pytest.raises(ValueError):
         EvalConfig(sign_mode="sometimes")
     # the blur-sweep rule is enforced when the config is built, not mid-batch
-    for sweep in ((), (1.0, 2.0), (-1.0, 0.0), (0.0, float("inf")), (0.0, float("nan"))):
+    for sweep in ((), (1.0, 2.0), (-1.0, 0.0), (0.0, float("inf")), (0.0, float("nan")),
+                  (0.0, 1e9)):
         with pytest.raises(ValueError, match="blur sweep"):
             EvalConfig(blur_sweep=sweep)
 
