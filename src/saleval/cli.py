@@ -34,7 +34,7 @@ from .harness import (
     synth_dataset,
 )
 from .harness.report import write_rows
-from .harness.stats import GROUP_KEYS
+from .harness.stats import GROUP_KEYS, STD_AXES
 from .metrics_histogram import SIGN_MODES
 from .shuffle import RNG_ALGORITHM, SEED_DERIVATION, TrialPlan
 
@@ -191,12 +191,11 @@ def _cmd_aggregate(args) -> int:
     rows = aggregate_scores(records, group_by=args.group_by)
     path = out / f"aggregate_{args.group_by}.csv"
     write_rows(path, rows)
-    try:
-        if args.group_by == "distortion":
-            write_rows(out / "normalized_std_levels.csv", normalized_std_table(records, "levels"))
-            write_rows(out / "normalized_std_types.csv", normalized_std_table(records, "types"))
-    except ValueError:
-        pass  # single-stratum data has no spread tables
+    if args.group_by == "distortion":
+        # rows are normalized_std_table's own aggregate, so this is its stratum count
+        for axis, (_, across) in STD_AXES.items():
+            if len({row[across] for row in rows}) >= 2:
+                write_rows(out / f"normalized_std_{axis}.csv", normalized_std_table(records, axis))
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 

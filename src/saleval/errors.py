@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DegenerateInputError", "ManifestError"]
+
 
 class DegenerateInputError(ValueError):
     """Input is structurally valid but statistically degenerate for a metric.

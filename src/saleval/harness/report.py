@@ -17,17 +17,21 @@ from .protocol import EvaluationRecord
 
 __all__ = ["RECORD_FIELDS", "emit_report", "read_records", "write_rows"]
 
-RECORD_FIELDS = (
-    "model",
-    "image",
-    "metric",
-    "score",
-    "blur_sigma",
-    "distortion_type",
-    "distortion_level",
-    "complexity",
-    "seed_digest",
+# (EvaluationRecord attribute, records.csv column), in column order
+_RECORD_COLUMNS = (
+    ("model_id", "model"),
+    ("image_id", "image"),
+    ("metric_id", "metric"),
+    ("score", "score"),
+    ("blur_sigma", "blur_sigma"),
+    ("distortion_type", "distortion_type"),
+    ("distortion_level", "distortion_level"),
+    ("complexity", "complexity"),
+    ("trial_plan_digest", "seed_digest"),
 )
+RECORD_FIELDS = tuple(column for _, column in _RECORD_COLUMNS)
+# the columns read back as floats, blank for a missing value
+_FLOAT_COLUMNS = ("score", "blur_sigma")
 
 
 def _fmt(value) -> str:
@@ -75,19 +79,7 @@ def emit_report(
         writer = csv.writer(f)
         writer.writerow(RECORD_FIELDS)
         for r in ordered:
-            writer.writerow(
-                [
-                    r.model_id,
-                    r.image_id,
-                    r.metric_id,
-                    _fmt(r.score),
-                    _fmt(r.blur_sigma),
-                    r.distortion_type,
-                    r.distortion_level,
-                    r.complexity,
-                    r.trial_plan_digest,
-                ]
-            )
+            writer.writerow([_fmt(getattr(r, attr)) for attr, _ in _RECORD_COLUMNS])
 
     missing: dict[str, int] = {}
     for r in ordered:
@@ -119,17 +111,7 @@ def read_records(path) -> list[EvaluationRecord]:
         if tuple(reader.fieldnames or ()) != RECORD_FIELDS:
             raise ValueError(f"{path}: unexpected record CSV header")
         for row in reader:
-            out.append(
-                EvaluationRecord(
-                    model_id=row["model"],
-                    image_id=row["image"],
-                    metric_id=row["metric"],
-                    score=float(row["score"]) if row["score"] else None,
-                    blur_sigma=float(row["blur_sigma"]) if row["blur_sigma"] else None,
-                    distortion_type=row["distortion_type"],
-                    distortion_level=row["distortion_level"],
-                    complexity=row["complexity"],
-                    trial_plan_digest=row["seed_digest"],
-                )
-            )
+            for column in _FLOAT_COLUMNS:
+                row[column] = float(row[column]) if row[column] else None
+            out.append(EvaluationRecord(**{attr: row[column] for attr, column in _RECORD_COLUMNS}))
     return out

@@ -20,6 +20,7 @@ from .protocol import EvaluationRecord
 
 __all__ = [
     "GROUP_KEYS",
+    "STD_AXES",
     "aggregate_scores",
     "build_rankings",
     "kendalls_w",
@@ -31,6 +32,13 @@ GROUP_KEYS = {
     "distortion": ("distortion_type", "distortion_level"),
     "complexity": ("complexity", "distortion_level"),
     "dataset": (),
+}
+
+# normalized_std_table's axes: (the key its rows are labelled by, the key it
+# takes the spread across); a table needs 2 strata of the second
+STD_AXES = {
+    "levels": ("distortion_level", "distortion_type"),
+    "types": ("distortion_type", "distortion_level"),
 }
 
 
@@ -155,12 +163,9 @@ def normalized_std_table(records: Sequence[EvaluationRecord], axis: str = "level
     then averaged across models. axis = "types" swaps the roles. Low
     numbers mean the metric is stable against that kind of variation.
     """
-    if axis == "levels":
-        row_key, col_key = "distortion_level", "distortion_type"
-    elif axis == "types":
-        row_key, col_key = "distortion_type", "distortion_level"
-    else:
+    if axis not in STD_AXES:
         raise ValueError("axis must be 'levels' or 'types'")
+    row_key, col_key = STD_AXES[axis]
     agg = aggregate_scores(records, group_by="distortion")
     axis_values = sorted({row[row_key] for row in agg})
     if len({row[col_key] for row in agg}) < 2:

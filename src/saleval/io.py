@@ -52,11 +52,14 @@ def read_pgm(path) -> np.ndarray:
     if magic == b"P5":
         pos += 1  # exactly one whitespace byte after maxval
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+        # checked first: frombuffer's own error on a short buffer names no file
+        if len(data) - pos < width * height * dtype.itemsize:
+            raise ValueError(f"{path}: truncated PGM raster")
         raster = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
     else:
         raster = np.array(data[pos:].split()[: width * height], dtype=np.uint32)
-    if raster.size != width * height:
-        raise ValueError(f"{path}: truncated PGM raster")
+        if raster.size != width * height:
+            raise ValueError(f"{path}: truncated PGM raster")
     if raster.max(initial=0) > maxval:
         raise ValueError(f"{path}: pixel value exceeds maxval")
     return raster.reshape(height, width).astype(np.float64) / maxval

@@ -3,13 +3,17 @@
 Covers the classic map-vs-map scores (CC, SIM), the point-based scores
 (NSS and its shuffled form SNSS), and the ROC family (AUC over uniform
 negatives, AUC over a binarized density map, shuffled AUC), plus an exact
-pair-counting AUC oracle that gates the grid-AUC kernel. The trial metrics
-score all trials of a candidate map at once: one gather from the
-(trials, n, 2) tensor of an (image, metric)'s negative draws
-(shuffle.shuffled_draws, shuffle.uniform_draws) gives a (trials, n) array
-of map values. Each metric prepares its maps (maps.prepare), so a map's
-statistics and the density map's derived data are computed once per map,
-whichever metric asks first.
+pair-counting AUC oracle that gates the grid-AUC kernel. Six metrics are
+Monte Carlo means over seeded trials: sauc, snss and auc_f here, sskld,
+sjsd and semd in metrics_histogram. Each scores all trials of a candidate
+map at once through one checked gather, _trial_samples: it checks the map,
+then gathers the (n,) values at the n fixations and the (trials, n) values
+at the (trials, n, 2) tensor of an (image, metric)'s negative draws
+(shuffle.shuffled_draws, shuffle.uniform_draws), one negative per fixation.
+A row kernel turns those into one value per trial, and the score is their
+mean. Each metric prepares its maps (maps.prepare), so a map's statistics
+and the density map's derived data are computed once per map, whichever
+metric asks first.
 
 The three ROC metrics share one exact kernel. On a threshold grid with the
 >= rule, the area under the ROC is pair counting in which values that reach
@@ -31,6 +35,7 @@ np.corrcoef.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +58,6 @@ __all__ = [
     "sauc",
     "sim",
     "snss",
-    "snss_trials",
 ]
 
 
@@ -186,9 +190,25 @@ def nss(s, fix: FixationSet) -> float:
     return nss_at_points(s, fix.points)
 
 
-def _trial_values(s: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """(T, n) map values at a (T, n, 2) tensor of (x, y) points, one row per trial."""
-    return s.take(draws[..., 1] * s.shape[1] + draws[..., 0])
+def _trial_samples(s, fix: FixationSet, metric_id: str, draw, normalized: bool, standardized: bool):
+    """A trial metric's checked inputs: (fixation values, negative values, stats).
+
+    Prepares the map and checks it against the fixations' frame. When
+    normalized, a peak above 1 raises ValueError; when standardized, a
+    zero-variance map raises DegenerateInputError, and stats is the map's
+    (mean, std), else None. Only after every check does it call draw() for
+    the (T, n, 2) negative points, so a refused map derives no trial seeds.
+    Returns the (n,) values at the fixations and the (T, n) values at the
+    negatives, one row per trial.
+    """
+    s = prepare(s)
+    _check_frame(s, fix)
+    if normalized and s.peak > 1.0:
+        raise ValueError(f"{metric_id} expects a normalized map")
+    stats = _mean_std(s, metric_id) if standardized else None
+    draws = draw()
+    neg = s.values.take(draws[..., 1] * s.shape[1] + draws[..., 0])
+    return values_at(s.values, fix.points), neg, stats
 
 
 def _snss_rows(pos_vals: np.ndarray, neg_vals: np.ndarray, mu: float, sd: float) -> np.ndarray:
@@ -196,25 +216,18 @@ def _snss_rows(pos_vals: np.ndarray, neg_vals: np.ndarray, mu: float, sd: float)
     return (pos_vals.mean() - mu) / sd - (neg_vals.mean(axis=-1) - mu) / sd
 
 
-def snss_trials(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan) -> np.ndarray:
-    """Per-trial NSS(fixations) - NSS(shuffled negatives)."""
-    s = prepare(s)
-    _check_frame(s, fix)
-    mu, sd = _mean_std(s, "snss")
-    neg = _trial_values(s.values, shuffled_draws(bank, fix, "snss", plan))
-    return _snss_rows(values_at(s.values, fix.points), neg, mu, sd)
-
-
 def snss(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan) -> MetricScore:
     """Shuffled NSS: NSS at fixations minus NSS at cross-image negatives.
 
     Negatives are drawn from the pooled fixations of the other images, one
-    sample per trial; the score is the trial mean. Positive means the map
-    separates this image's fixations from the dataset-wide fixation
-    distribution, so center bias alone scores near 0.
+    per fixation in each trial; the score is the trial mean. Positive means
+    the map separates this image's fixations from the dataset-wide fixation
+    distribution, so center bias alone scores near 0. The map need not be
+    normalized.
     """
-    vals = snss_trials(s, fix, bank, plan)
-    return MetricScore(float(vals.mean()), "snss", plan.num_trials)
+    draw = functools.partial(shuffled_draws, bank, fix, "snss", plan)
+    pos, neg, (mu, sd) = _trial_samples(s, fix, "snss", draw, normalized=False, standardized=True)
+    return MetricScore(float(_snss_rows(pos, neg, mu, sd).mean()), "snss", plan.num_trials)
 
 
 def _row_counts(idx: np.ndarray, k: int) -> np.ndarray:
@@ -317,16 +330,6 @@ def auc_pair_oracle(pos_values, neg_values) -> float:
     return float(wins / (pos.size * neg.size))
 
 
-def _trial_mean_auc(s, fix: FixationSet, plan: TrialPlan, metric_id, draw) -> MetricScore:
-    # draw() gives the (T, n, 2) negatives once the map is checked; only their source differs
-    s = prepare(s)
-    _check_frame(s, fix)
-    if s.peak > 1.0:
-        raise ValueError(f"{metric_id} expects a normalized map")
-    rows = _sample_auc_rows(values_at(s.values, fix.points), _trial_values(s.values, draw()))
-    return MetricScore(float(rows.mean()), metric_id, plan.num_trials)
-
-
 def auc_f(s, fix: FixationSet, plan: TrialPlan) -> MetricScore:
     """AUC with uniform-random non-fixated negatives, averaged over trials.
 
@@ -335,7 +338,9 @@ def auc_f(s, fix: FixationSet, plan: TrialPlan) -> MetricScore:
     trial's negatives, all trials bucketed at once. A constant map gives
     exactly 0.5 by the tie convention; that is a valid score, not an error.
     """
-    return _trial_mean_auc(s, fix, plan, "auc_f", lambda: uniform_draws(fix, "auc_f", plan))
+    draw = functools.partial(uniform_draws, fix, "auc_f", plan)
+    pos, neg, _ = _trial_samples(s, fix, "auc_f", draw, normalized=True, standardized=False)
+    return MetricScore(float(_sample_auc_rows(pos, neg).mean()), "auc_f", plan.num_trials)
 
 
 def sauc(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan) -> MetricScore:
@@ -346,7 +351,9 @@ def sauc(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan) -> MetricScore
     trial's area is the exact grid AUC (_grid_auc) of the fixation values
     against that trial's negatives, and the score is the trial mean.
     """
-    return _trial_mean_auc(s, fix, plan, "sauc", lambda: shuffled_draws(bank, fix, "sauc", plan))
+    draw = functools.partial(shuffled_draws, bank, fix, "sauc", plan)
+    pos, neg, _ = _trial_samples(s, fix, "sauc", draw, normalized=True, standardized=False)
+    return MetricScore(float(_sample_auc_rows(pos, neg).mean()), "sauc", plan.num_trials)
 
 
 def auc_s(s, g, levels: int = 256) -> float:

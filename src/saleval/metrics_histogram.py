@@ -8,14 +8,16 @@ mass-mismatch-penalized EMD with a saturated bin-index ground distance.
 
 Every histogram here has B >= 2 equal-width bins over [0, 1], the last
 one right-closed, so its bin count alone fixes its binning. Trials are
-an array axis: a candidate map's values at the (trials, n, 2) tensor of
-its shuffled draws form one (trials, n) array, binned by a single
-bincount into (trials, bins) masses, and SKLD and JSD reduce along the
-last axis. hist_at_points,
-symmetric_kld and jsd are the one-row case of those same kernels. SEMD
-still solves one exact transport problem per trial (flow.py: a
-cheapest-first plan made optimal by negative-cycle canceling). A
-generic-LP oracle cross-checks the transport solver on small instances.
+an array axis: the checked gather the trial metrics share
+(metrics_fixation._trial_samples) gives a candidate map's (n,) values at
+the n fixations and its (trials, n) values at the shuffled draws, one
+negative per fixation. A single bincount bins them into (trials, bins)
+masses, normalized by n, and SKLD and JSD reduce along the last axis.
+hist_at_points, symmetric_kld and jsd are the one-row case of those same
+kernels. SEMD still solves one exact transport problem per trial
+(flow.py: a cheapest-first plan made optimal by negative-cycle
+canceling). A generic-LP oracle cross-checks the transport solver on
+small instances.
 """
 
 from __future__ import annotations
@@ -28,15 +30,7 @@ import numpy as np
 
 from .flow import min_cost_transport
 from .maps import FixationSet, prepare, values_at
-from .metrics_fixation import (
-    MetricScore,
-    _check_frame,
-    _check_in_frame,
-    _mean_std,
-    _row_counts,
-    _snss_rows,
-    _trial_values,
-)
+from .metrics_fixation import MetricScore, _check_in_frame, _row_counts, _snss_rows, _trial_samples
 from .shuffle import ShuffleBank, TrialPlan, shuffled_draws
 
 __all__ = [
@@ -49,11 +43,8 @@ __all__ = [
     "hist_at_points",
     "jsd",
     "semd",
-    "semd_trials",
     "sjsd",
-    "sjsd_trials",
     "sskld",
-    "sskld_trials",
     "symmetric_kld",
 ]
 
@@ -109,14 +100,14 @@ def ground_distance_matrix(bins: int, d: GroundDistanceSpec) -> np.ndarray:
     return dist
 
 
-def _value_masses(vals: np.ndarray, bins: int, normalizer: int) -> np.ndarray:
-    """Per-row bin counts of values in [0, 1] divided by normalizer.
+def _value_masses(vals: np.ndarray, bins: int) -> np.ndarray:
+    """Per-row bin counts of values in [0, 1] divided by the row length n.
 
     Uniform bins, the last one right-closed: (..., n) values give
     (..., bins) masses.
     """
     idx = np.minimum((vals * bins).astype(np.int64), bins - 1)
-    return _row_counts(idx, bins) / normalizer
+    return _row_counts(idx, bins) / vals.shape[-1]
 
 
 def hist_at_points(s, points, bins: int = 16) -> ValueHistogram:
@@ -133,8 +124,7 @@ def hist_at_points(s, points, bins: int = 16) -> ValueHistogram:
         raise ValueError("bins must be >= 2")
     if s.peak > 1.0:
         raise ValueError("hist_at_points expects a normalized map")
-    n = pts.shape[0]
-    return ValueHistogram(_value_masses(values_at(s.values, pts), bins, n), n)
+    return ValueHistogram(_value_masses(values_at(s.values, pts), bins), pts.shape[0])
 
 
 def _check_same_binning(a: ValueHistogram, b: ValueHistogram) -> None:
@@ -243,42 +233,13 @@ def emd_brute_oracle(h1: ValueHistogram, h2: ValueHistogram, d: GroundDistanceSp
     return float(res.fun) + abs(a.sum() - b.sum()) * d.saturation
 
 
-def _shuffled_masses(s, fix, bank, plan, bins, metric_id):
-    """Per-trial SNSS (T,), fixation masses (bins,) and negative masses (T, bins).
+def _shuffled_samples(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan, metric_id: str):
+    """The checked (n,) fixation values, (T, n) shuffled values and (mean, std) of a normalized map.
 
-    Both histograms are normalized by the ground-truth fixation count, so
-    their masses stay comparable even when the plan draws a different
-    number of negatives.
+    Every shuffled histogram metric refuses a constant map, as SNSS does.
     """
-    s = prepare(s)
-    _check_frame(s, fix)
-    if s.peak > 1.0:
-        raise ValueError(f"{metric_id} expects a normalized map")
-    mu, sd = _mean_std(s, metric_id)
-    pos = values_at(s.values, fix.points)
-    neg = _trial_values(s.values, shuffled_draws(bank, fix, metric_id, plan))
-    n = len(fix)
-    return _snss_rows(pos, neg, mu, sd), _value_masses(pos, bins, n), _value_masses(neg, bins, n)
-
-
-def _sskld_parts(s, fix, bank, plan, bins, epsilon) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (SNSS, symmetric KLD) arrays, the two halves of SSKLD."""
-    _check_epsilon(epsilon)
-    snss_vals, pos, neg = _shuffled_masses(s, fix, bank, plan, bins, "sskld")
-    return snss_vals, _skld_rows(pos, neg, epsilon)
-
-
-def sskld_trials(
-    s,
-    fix: FixationSet,
-    bank: ShuffleBank,
-    plan: TrialPlan,
-    bins: int = 16,
-    epsilon: float = 1e-12,
-) -> np.ndarray:
-    """Per-trial signed shuffled KLD: sign(trial SNSS) * symmetric KLD."""
-    snss_vals, skld_vals = _sskld_parts(s, fix, bank, plan, bins, epsilon)
-    return np.sign(snss_vals) * skld_vals
+    draw = functools.partial(shuffled_draws, bank, fix, metric_id, plan)
+    return _trial_samples(s, fix, metric_id, draw, normalized=True, standardized=True)
 
 
 def sskld(
@@ -300,7 +261,10 @@ def sskld(
     """
     if sign_mode not in SIGN_MODES:
         raise ValueError(f"sign_mode must be one of {SIGN_MODES}")
-    snss_vals, skld_vals = _sskld_parts(s, fix, bank, plan, bins, epsilon)
+    _check_epsilon(epsilon)
+    pos, neg, (mu, sd) = _shuffled_samples(s, fix, bank, plan, "sskld")
+    snss_vals = _snss_rows(pos, neg, mu, sd)
+    skld_vals = _skld_rows(_value_masses(pos, bins), _value_masses(neg, bins), epsilon)
     if sign_mode == "per-trial":
         value = float(np.mean(np.sign(snss_vals) * skld_vals))
     else:
@@ -308,37 +272,16 @@ def sskld(
     return MetricScore(value, "sskld", plan.num_trials)
 
 
-def sjsd_trials(
-    s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan, bins: int = 16
-) -> np.ndarray:
-    """Per-trial square root of the JSD between the two value histograms."""
-    _, pos, neg = _shuffled_masses(s, fix, bank, plan, bins, "sjsd")
-    return np.sqrt(_jsd_rows(pos, neg))
-
-
 def sjsd(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan, bins: int = 16) -> MetricScore:
     """Shuffled Jensen-Shannon distance, a bounded [0, 1] score.
 
     sqrt(JSD) is a true distance (it satisfies the triangle inequality),
-    which SKLD-style scores are not; higher is better.
+    which SKLD-style scores are not; higher is better. The score is the
+    trial mean.
     """
-    vals = sjsd_trials(s, fix, bank, plan, bins)
+    pos, neg, _ = _shuffled_samples(s, fix, bank, plan, "sjsd")
+    vals = np.sqrt(_jsd_rows(_value_masses(pos, bins), _value_masses(neg, bins)))
     return MetricScore(float(vals.mean()), "sjsd", plan.num_trials)
-
-
-def semd_trials(
-    s,
-    fix: FixationSet,
-    bank: ShuffleBank,
-    plan: TrialPlan,
-    bins: int = 16,
-    d: GroundDistanceSpec = GroundDistanceSpec(),
-) -> np.ndarray:
-    """Per-trial EMD between the fixated and negative value histograms."""
-    _, pos, neg = _shuffled_masses(s, fix, bank, plan, bins, "semd")
-    n = len(fix)
-    h_pos = ValueHistogram(pos, n)
-    return np.array([emd_hat(h_pos, ValueHistogram(row, n), d) for row in neg])
 
 
 def semd(
@@ -353,7 +296,11 @@ def semd(
 
     Unlike map-vs-map EMD (lower is better, and center-biased), this
     shuffled form rewards separation, so higher is better and center bias
-    cancels through the negatives.
+    cancels through the negatives. The score is the trial mean of one
+    emd_hat per trial.
     """
-    vals = semd_trials(s, fix, bank, plan, bins, d)
+    pos, neg, _ = _shuffled_samples(s, fix, bank, plan, "semd")
+    n = len(fix)
+    h_pos = ValueHistogram(_value_masses(pos, bins), n)
+    vals = np.array([emd_hat(h_pos, ValueHistogram(row, n), d) for row in _value_masses(neg, bins)])
     return MetricScore(float(vals.mean()), "semd", plan.num_trials)

@@ -3,13 +3,16 @@
 Every sampling call is a pure function of its inputs plus a 64-bit seed;
 the generator is numpy's PCG64. Per-trial seeds derive from a stable hash
 over (master_seed, image_id, metric_id, trial_index), so any run can be
-replayed bit-for-bit from the recorded plan. A draw is an (n, 2) int64
-array of (x, y) points. The metrics read all trials of one (image, metric)
-at once, as a read-only (trials, n, 2) tensor whose row t is trial t's
-draw (shuffled_draws, uniform_draws). A tensor depends only on the plan's
-seeds, its source (the pool size, or the frame and the fixated pixels)
-and n, not on the model or the blur level being scored, so each one is
-drawn once and reused while that image's pairs are scored.
+replayed bit-for-bit from the recorded plan. Every trial draws one
+negative per fixation of the image under test, as the standard shuffled
+metrics do, so a draw is an (n, 2) int64 array of (x, y) points with n
+the fixation count. The metrics read all trials of one (image, metric) at
+once, as a read-only (trials, n, 2) tensor whose row t is trial t's draw
+(shuffled_draws, uniform_draws); row t equals sample_shuffled_nonfixated
+or sample_uniform_nonfixated with trial t's seed. A tensor depends only
+on the plan's seeds, its source (the pool size, or the frame and the
+fixated pixels) and n, not on the model or the blur level being scored,
+so each one is drawn once and reused while that image's pairs are scored.
 """
 
 from __future__ import annotations
@@ -72,28 +75,23 @@ def _integer(name: str, value, least: int | None = None) -> int:
 class TrialPlan:
     """How many negative-sampling trials to run and from which master seed.
 
-    samples_per_trial = None means "match the test image's fixation count",
-    the convention all the shuffled metrics default to.
+    Each trial draws as many negatives as the image under test has
+    fixations.
     """
 
     num_trials: int = 100
-    samples_per_trial: int | None = None
     master_seed: int = 0
 
     def __post_init__(self):
         # numpy integers are stored as int, so they give the same digest and seeds
         object.__setattr__(self, "num_trials", _integer("num_trials", self.num_trials, 1))
         object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
-        if self.samples_per_trial is not None:
-            n = _integer("samples_per_trial", self.samples_per_trial, 1)
-            object.__setattr__(self, "samples_per_trial", n)
-
-    def n_for(self, fixations: FixationSet) -> int:
-        return self.samples_per_trial if self.samples_per_trial is not None else len(fixations)
 
     def digest(self) -> str:
+        # the literal None is where an optional per-trial sample count sat in
+        # plan-v1; it stays so that every recorded seed_digest still matches
         key = (
-            f"plan-v1|{self.master_seed}|{self.num_trials}|{self.samples_per_trial}"
+            f"plan-v1|{self.master_seed}|{self.num_trials}|None"
             f"|{RNG_ALGORITHM}|{SEED_DERIVATION}"
         )
         return hashlib.blake2b(key.encode("utf-8"), digest_size=8).hexdigest()
@@ -241,7 +239,7 @@ def uniform_draws(fixations: FixationSet, metric_id: str, plan: TrialPlan) -> np
     """Every trial's uniform draw as one read-only (T, n, 2) array; row t is trial t's."""
     w, h = fixations.frame
     seeds = _trial_seeds(fixations, metric_id, plan)
-    return _uniform_tensor(seeds, w, h, fixations.points.tobytes(), plan.n_for(fixations))
+    return _uniform_tensor(seeds, w, h, fixations.points.tobytes(), len(fixations))
 
 
 def shuffled_draws(
@@ -255,7 +253,7 @@ def shuffled_draws(
         raise ValueError(f"shuffle bank frame {bank.frame} is not the fixations' {fixations.frame}")
     pool = pooled_fixations(bank, fixations.image_id)
     seeds = _trial_seeds(fixations, metric_id, plan)
-    points = pool.take(_pool_index_tensor(seeds, pool.shape[0], plan.n_for(fixations)), axis=0)
+    points = pool.take(_pool_index_tensor(seeds, pool.shape[0], len(fixations)), axis=0)
     points.setflags(write=False)
     return points
 

@@ -1,8 +1,19 @@
+import functools
+
 import numpy as np
 import pytest
 
 from saleval.maps import FixationSet
-from saleval.shuffle import build_shuffle_bank
+from saleval.metrics_fixation import _sample_auc_rows, _snss_rows, _trial_samples
+from saleval.metrics_histogram import (
+    GroundDistanceSpec,
+    ValueHistogram,
+    _jsd_rows,
+    _skld_rows,
+    _value_masses,
+    emd_hat,
+)
+from saleval.shuffle import build_shuffle_bank, shuffled_draws, uniform_draws
 
 
 @pytest.fixture
@@ -27,3 +38,60 @@ def tie_case():
     fix = sets[0]
     s[fix.points[:4, 1], fix.points[:4, 0]] = 1.0
     return s, fix, build_shuffle_bank(sets, frame)
+
+
+@pytest.fixture
+def sized_tie_case(tie_case):
+    """tie_case with image a's fixations redrawn as `count` points; None keeps its 15.
+
+    The trial metrics draw one negative per fixation, so this is how a test
+    varies the number of negatives per trial. Returns a function of count.
+    """
+
+    def resize(count):
+        s, fix, bank = tie_case
+        if count is None:
+            return tie_case
+        rng = np.random.default_rng(count)
+        w, h = fix.frame
+        pts = np.column_stack((rng.integers(0, w, count), rng.integers(0, h, count)))
+        fix = FixationSet("a", pts, fix.frame)
+        s = s.copy()
+        s[pts[:4, 1], pts[:4, 0]] = 1.0
+        others = [FixationSet(i, bank.entries[i], fix.frame) for i in sorted(bank.entries) if i != "a"]
+        return s, fix, build_shuffle_bank([fix, *others], fix.frame)
+
+    return resize
+
+
+@pytest.fixture
+def trial_rows():
+    """_trial_rows: a seeded metric's per-trial values through its private kernels."""
+    return _trial_rows
+
+
+def _trial_rows(metric_id, s, fix, bank, plan, bins=16, epsilon=1e-12, d=GroundDistanceSpec()):
+    """(T,) per-trial values of a seeded metric: its checked gather, then its row kernel.
+
+    The metric's score is the mean of these rows (SSKLD's under the default
+    per-trial sign mode).
+    """
+    if metric_id == "auc_f":
+        draw = functools.partial(uniform_draws, fix, metric_id, plan)
+    else:
+        draw = functools.partial(shuffled_draws, bank, fix, metric_id, plan)
+    is_auc = metric_id in ("sauc", "auc_f")
+    pos, neg, stats = _trial_samples(
+        s, fix, metric_id, draw, normalized=metric_id != "snss", standardized=not is_auc
+    )
+    if is_auc:
+        return _sample_auc_rows(pos, neg)
+    if metric_id == "snss":
+        return _snss_rows(pos, neg, *stats)
+    p, q = _value_masses(pos, bins), _value_masses(neg, bins)
+    if metric_id == "sskld":
+        return np.sign(_snss_rows(pos, neg, *stats)) * _skld_rows(p, q, epsilon)
+    if metric_id == "sjsd":
+        return np.sqrt(_jsd_rows(p, q))
+    n = len(fix)
+    return np.array([emd_hat(ValueHistogram(p, n), ValueHistogram(row, n), d) for row in q])

@@ -39,7 +39,7 @@ from saleval.metrics_histogram import (
     jsd,
     semd,
     sjsd,
-    sskld_trials,
+    sskld,
 )
 from saleval.shuffle import TrialPlan, build_shuffle_bank
 
@@ -144,16 +144,19 @@ def test_criterion_3_center_bias_neutralization(center_biased):
     )
 
 
-def test_criterion_4_inversion_penalty(center_biased):
+def test_criterion_4_inversion_penalty(center_biased, trial_rows):
     sets, bank = center_biased
     plan = TrialPlan(num_trials=100, master_seed=7)
     ok = True
     for fs in sets:
         g = density_from_fixations(fs, 8.0)
-        pos_trials = sskld_trials(g, fs, bank, plan)
-        neg_trials = sskld_trials(invert_map(g), fs, bank, plan)
+        pos_trials = trial_rows("sskld", g, fs, bank, plan)
+        neg_trials = trial_rows("sskld", invert_map(g), fs, bank, plan)
         signed_pos = float(pos_trials.mean())
         signed_neg = float(neg_trials.mean())
+        # the per-trial rows are the ones the metric averages
+        ok &= sskld(g, fs, bank, plan).value == signed_pos
+        ok &= sskld(invert_map(g), fs, bank, plan).value == signed_neg
         unsigned_pos = float(np.abs(pos_trials).mean())
         unsigned_neg = float(np.abs(neg_trials).mean())
         ok &= signed_pos > 0 and signed_neg < 0

@@ -108,6 +108,22 @@ def test_aggregate_command(dataset, tmp_path):
     assert (tmp_path / "agg" / "aggregate_distortion.csv").is_file()
 
 
+def test_aggregate_writes_each_spread_table_that_has_two_strata(tmp_path):
+    # one distortion type at three levels: the levels table has a single type
+    # to spread across and is skipped, while the types table is still written
+    ds = tmp_path / "ds"
+    assert main(["synth", "--out", str(ds), "--images", "9", "--width", "32", "--height", "24",
+                 "--fixations", "8", "--seed", "2", "--stratify", "complexity"]) == 0
+    assert _evaluate(ds, tmp_path / "out", extra=("--metrics", "sauc,cc")) == 0
+    records = tmp_path / "out" / "records.csv"
+    assert {r.distortion_type for r in read_records(records)} == {"blur"}
+    assert main(["aggregate", "--records", str(records), "--out", str(tmp_path / "agg")]) == 0
+    assert not (tmp_path / "agg" / "normalized_std_levels.csv").exists()
+    types = (tmp_path / "agg" / "normalized_std_types.csv").read_text().splitlines()
+    assert types[0] == "avg_std,distortion_type,metric,n_models"
+    assert [line.split(",")[1:3] for line in types[1:]] == [["blur", "cc"], ["blur", "sauc"]]
+
+
 def test_rank_command_concordant_datasets(dataset, tmp_path):
     # same generator, different seeds: model quality ordering is stable so
     # the concordance lands at 1

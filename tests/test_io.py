@@ -49,9 +49,15 @@ def test_pgm_rejects_garbage(tmp_path):
 
 def test_pgm_rejects_truncated_raster(tmp_path):
     path = tmp_path / "short.pgm"
-    path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 7)
-    with pytest.raises(ValueError):
-        read_pgm(path)
+    for data in (
+        b"P5\n4 4\n255\n" + b"\x00" * 7,
+        b"P5\n4 4\n65535\n" + b"\x00" * 31,  # 16-bit: one byte short of 16 pixels
+        b"P5\n4 4\n255",  # no raster at all
+        b"P2\n4 4\n255\n" + b"0 " * 15,
+    ):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="short.pgm: truncated PGM raster"):
+            read_pgm(path)
 
 
 def test_pgm_write_rejects_out_of_range(tmp_path):

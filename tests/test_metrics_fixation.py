@@ -23,7 +23,6 @@ from saleval.metrics_fixation import (
     sauc,
     sim,
     snss,
-    snss_trials,
 )
 from saleval.shuffle import (
     TrialPlan,
@@ -239,12 +238,13 @@ def test_snss_antisymmetric_under_role_swap():
         assert fwd == pytest.approx(-rev, abs=1e-12)
 
 
-def test_snss_trials_reproducible():
+def test_snss_trials_reproducible(trial_rows):
     fix_a, _, bank, g = _blob_setup()
     plan = TrialPlan(num_trials=12, master_seed=8)
-    v1 = snss_trials(g, fix_a, bank, plan)
-    v2 = snss_trials(g, fix_a, bank, plan)
-    assert np.array_equal(v1, v2)
+    v1 = trial_rows("snss", g, fix_a, bank, plan)
+    v2 = trial_rows("snss", g, fix_a, bank, plan)
+    assert v1.shape == (12,) and np.array_equal(v1, v2)
+    assert snss(g, fix_a, bank, plan).value == v1.mean()
 
 
 def test_snss_degenerate_raises():
@@ -283,10 +283,11 @@ def _grid_auc_one_trial(pos, neg):
     return np.trapezoid(np.r_[0.0, tpr, 1.0], np.r_[0.0, fpr, 1.0])
 
 
-@pytest.mark.parametrize("samples", [None, 7, 40])
-def test_batched_trials_match_a_loop_over_trials(tie_case, samples):
-    s, fix, bank = tie_case
-    plan = TrialPlan(num_trials=9, samples_per_trial=samples, master_seed=5)
+# fixation counts: None is tie_case's own 15; a trial draws one negative per fixation
+@pytest.mark.parametrize("count", [None, 7, 40])
+def test_batched_trials_match_a_loop_over_trials(sized_tie_case, trial_rows, count):
+    s, fix, bank = sized_tie_case(count)
+    plan = TrialPlan(num_trials=9, master_seed=5)
     pos = s[fix.points[:, 1], fix.points[:, 0]]
     mu, sd = s.mean(), s.std()
     snss_loop, sauc_loop, aucf_loop = [], [], []
@@ -297,7 +298,11 @@ def test_batched_trials_match_a_loop_over_trials(tie_case, samples):
         sauc_loop.append(_grid_auc_one_trial(pos, s[sample[:, 1], sample[:, 0]]))
     for sample in uniform_negative_trials(fix, "auc_f", plan):
         aucf_loop.append(_grid_auc_one_trial(pos, s[sample[:, 1], sample[:, 0]]))
-    np.testing.assert_allclose(snss_trials(s, fix, bank, plan), snss_loop, rtol=0, atol=1e-12)
+    close = dict(rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trial_rows("snss", s, fix, bank, plan), snss_loop, **close)
+    np.testing.assert_allclose(trial_rows("sauc", s, fix, bank, plan), sauc_loop, **close)
+    np.testing.assert_allclose(trial_rows("auc_f", s, fix, bank, plan), aucf_loop, **close)
+    assert snss(s, fix, bank, plan).value == pytest.approx(np.mean(snss_loop), rel=0, abs=1e-12)
     assert sauc(s, fix, bank, plan).value == pytest.approx(np.mean(sauc_loop), rel=0, abs=1e-12)
     assert auc_f(s, fix, plan).value == pytest.approx(np.mean(aucf_loop), rel=0, abs=1e-12)
 
@@ -321,11 +326,11 @@ def _floor_to_grid(values):
     return thresholds[np.argmax(values[..., None] >= thresholds, axis=-1)]
 
 
-@pytest.mark.parametrize("samples", [None, 7, 40])
+@pytest.mark.parametrize("count", [None, 7, 40])
 @pytest.mark.parametrize("metric", ["sauc", "auc_f"])
-def test_grid_kernel_is_pair_counting_on_grid_levels(tie_case, samples, metric):
-    s, fix, bank = tie_case
-    plan = TrialPlan(num_trials=9, samples_per_trial=samples, master_seed=5)
+def test_grid_kernel_is_pair_counting_on_grid_levels(sized_tie_case, count, metric):
+    s, fix, bank = sized_tie_case(count)
+    plan = TrialPlan(num_trials=9, master_seed=5)
     pos = s[fix.points[:, 1], fix.points[:, 0]]
     if metric == "sauc":
         draws = shuffled_draws(bank, fix, "sauc", plan)
@@ -333,7 +338,7 @@ def test_grid_kernel_is_pair_counting_on_grid_levels(tie_case, samples, metric):
     else:
         draws = uniform_draws(fix, "auc_f", plan)
         score = auc_f(s, fix, plan).value
-    neg = s[draws[..., 1], draws[..., 0]]  # P = 15 positives, N = samples negatives
+    neg = s[draws[..., 1], draws[..., 0]]  # P = N = the fixation count
     oracle = [auc_pair_oracle(_floor_to_grid(pos), _floor_to_grid(row)) for row in neg]
     assert _sample_auc_rows(pos, neg).tolist() == oracle
     assert score == np.mean(oracle)

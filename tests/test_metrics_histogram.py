@@ -12,11 +12,8 @@ from saleval.metrics_histogram import (
     hist_at_points,
     jsd,
     semd,
-    semd_trials,
     sjsd,
-    sjsd_trials,
     sskld,
-    sskld_trials,
     symmetric_kld,
 )
 from saleval.shuffle import TrialPlan, build_shuffle_bank, shuffled_negative_trials
@@ -206,10 +203,10 @@ def test_sskld_positive_for_gt_negative_for_inverted():
     assert neg.value < 0
 
 
-def test_sskld_magnitude_equals_unsigned_kld_when_signs_agree():
+def test_sskld_magnitude_equals_unsigned_kld_when_signs_agree(trial_rows):
     fix, bank, g = _blob_setup()
     plan = TrialPlan(num_trials=30, master_seed=2)
-    trials = sskld_trials(g, fix, bank, plan)
+    trials = trial_rows("sskld", g, fix, bank, plan)
     assert (trials > 0).all()
     assert abs(sskld(g, fix, bank, plan).value) == pytest.approx(np.abs(trials).mean(), abs=1e-12)
 
@@ -232,13 +229,14 @@ def test_sskld_degenerate_map():
         sskld(np.full((24, 32), 0.5), fix, bank, plan)
 
 
-def test_sjsd_in_unit_interval_and_positive_for_gt():
+def test_sjsd_in_unit_interval_and_positive_for_gt(trial_rows):
     fix, bank, g = _blob_setup()
     plan = TrialPlan(num_trials=30, master_seed=4)
     score = sjsd(g, fix, bank, plan)
     assert 0.0 < score.value <= 1.0
-    vals = sjsd_trials(g, fix, bank, plan)
+    vals = trial_rows("sjsd", g, fix, bank, plan)
     assert ((0.0 <= vals) & (vals <= 1.0)).all()
+    assert score.value == vals.mean()
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
@@ -246,9 +244,8 @@ def test_sskld_refuses_a_bad_epsilon(epsilon):
     # an epsilon of 0 made every trial nan, a negative one finite wrong scores
     fix, bank, g = _blob_setup()
     plan = TrialPlan(num_trials=3, master_seed=2)
-    for score in (sskld, sskld_trials):
-        with pytest.raises(ValueError, match="epsilon"):
-            score(g, fix, bank, plan, epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        sskld(g, fix, bank, plan, epsilon=epsilon)
     with pytest.raises(ValueError, match="epsilon"):
         symmetric_kld(_hist([0.5, 0.5]), _hist([0.25, 0.75]), epsilon)
 
@@ -289,11 +286,12 @@ def test_semd_gt_beats_centered_gaussian_on_offcenter_data():
     assert gt_score > blob_score
 
 
-def test_shuffled_trials_bit_reproducible():
+def test_shuffled_trials_bit_reproducible(trial_rows):
     fix, bank, g = _blob_setup()
     plan = TrialPlan(num_trials=15, master_seed=8)
-    assert np.array_equal(sskld_trials(g, fix, bank, plan), sskld_trials(g, fix, bank, plan))
-    assert np.array_equal(sjsd_trials(g, fix, bank, plan), sjsd_trials(g, fix, bank, plan))
+    for metric in ("sskld", "sjsd", "semd"):
+        rows = trial_rows(metric, g, fix, bank, plan)
+        assert rows.shape == (15,) and np.array_equal(rows, trial_rows(metric, g, fix, bank, plan))
 
 
 def _one_trial_masses(vals, bins, normalizer):
@@ -302,11 +300,12 @@ def _one_trial_masses(vals, bins, normalizer):
     return np.array([idx.count(b) for b in range(bins)]) / normalizer
 
 
-@pytest.mark.parametrize("samples", [None, 7, 40])
+# fixation counts: None is tie_case's own 15; a trial draws one negative per fixation
+@pytest.mark.parametrize("count", [None, 7, 40])
 @pytest.mark.parametrize("bins", [8, 16])
-def test_batched_trials_match_a_loop_over_trials(tie_case, samples, bins):
-    s, fix, bank = tie_case
-    plan = TrialPlan(num_trials=9, samples_per_trial=samples, master_seed=5)
+def test_batched_trials_match_a_loop_over_trials(sized_tie_case, trial_rows, count, bins):
+    s, fix, bank = sized_tie_case(count)
+    plan = TrialPlan(num_trials=9, master_seed=5)
     eps, d = 1e-9, GroundDistanceSpec(saturation=3)
     n = len(fix)
     pos = s[fix.points[:, 1], fix.points[:, 0]]
@@ -332,14 +331,16 @@ def test_batched_trials_match_a_loop_over_trials(tie_case, samples, bins):
 
     signs, sklds = np.array(signs), np.array(sklds)
     close = dict(rtol=0, atol=1e-12)
-    np.testing.assert_allclose(sskld_trials(s, fix, bank, plan, bins, eps), signs * sklds, **close)
+    np.testing.assert_allclose(trial_rows("sskld", s, fix, bank, plan, bins, eps), signs * sklds, **close)
     per_trial = sskld(s, fix, bank, plan, bins, eps, "per-trial").value
     assert per_trial == pytest.approx(np.mean(signs * sklds), **{"rel": 0, "abs": 1e-12})
     snss_mean = np.mean([v for v, _ in negatives("sskld")])
     aggregate = sskld(s, fix, bank, plan, bins, eps, "aggregate").value
     assert aggregate == pytest.approx(np.sign(snss_mean) * sklds.mean(), rel=0, abs=1e-12)
-    np.testing.assert_allclose(sjsd_trials(s, fix, bank, plan, bins), sjsds, **close)
-    np.testing.assert_allclose(semd_trials(s, fix, bank, plan, bins, d), semds, **close)
+    np.testing.assert_allclose(trial_rows("sjsd", s, fix, bank, plan, bins), sjsds, **close)
+    np.testing.assert_allclose(trial_rows("semd", s, fix, bank, plan, bins, d=d), semds, **close)
+    assert sjsd(s, fix, bank, plan, bins).value == pytest.approx(np.mean(sjsds), rel=0, abs=1e-12)
+    assert semd(s, fix, bank, plan, bins, d).value == pytest.approx(np.mean(semds), rel=0, abs=1e-12)
 
 
 def test_hist_is_the_one_row_case_with_values_on_edges(tie_case):

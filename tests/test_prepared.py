@@ -16,17 +16,8 @@ from saleval.metrics_fixation import (
     sauc,
     sim,
     snss,
-    snss_trials,
 )
-from saleval.metrics_histogram import (
-    hist_at_points,
-    semd,
-    semd_trials,
-    sjsd,
-    sjsd_trials,
-    sskld,
-    sskld_trials,
-)
+from saleval.metrics_histogram import hist_at_points, semd, sjsd, sskld
 from saleval.shuffle import TrialPlan
 
 PLAN = TrialPlan(num_trials=6, master_seed=3)
@@ -43,15 +34,19 @@ SCORERS = {
     "auc_f": lambda s, g, fix, bank: auc_f(s, fix, PLAN),
     "sauc": lambda s, g, fix, bank: sauc(s, fix, bank, PLAN),
     "snss": lambda s, g, fix, bank: snss(s, fix, bank, PLAN),
-    "snss_trials": lambda s, g, fix, bank: snss_trials(s, fix, bank, PLAN),
     "sskld": lambda s, g, fix, bank: sskld(s, fix, bank, PLAN),
     "sskld_aggregate": lambda s, g, fix, bank: sskld(s, fix, bank, PLAN, sign_mode="aggregate"),
-    "sskld_trials": lambda s, g, fix, bank: sskld_trials(s, fix, bank, PLAN),
     "sjsd": lambda s, g, fix, bank: sjsd(s, fix, bank, PLAN),
-    "sjsd_trials": lambda s, g, fix, bank: sjsd_trials(s, fix, bank, PLAN),
     "semd": lambda s, g, fix, bank: semd(s, fix, bank, PLAN),
-    "semd_trials": lambda s, g, fix, bank: semd_trials(s, fix, bank, PLAN),
 }
+
+
+def _trial_scorers(trial_rows):
+    """Each seeded metric's per-trial rows, as (name, call(s, g, fix, bank))."""
+    return {
+        f"{m}_trials": lambda s, g, fix, bank, m=m: trial_rows(m, s, fix, bank, PLAN)
+        for m in ("auc_f", "sauc", "snss", "sskld", "sjsd", "semd")
+    }
 
 
 def _outcome(scorer, s, g, fix, bank):
@@ -87,13 +82,13 @@ def _maps(tie_case):
 
 
 @pytest.mark.parametrize("case", ["ties", "random", "ties_vs_random_g", "constant", "constant_g", "all_zero"])
-def test_every_metric_scores_a_prepared_map_exactly_as_its_array(tie_case, case):
+def test_every_metric_scores_a_prepared_map_exactly_as_its_array(tie_case, trial_rows, case):
     s, g = _maps(tie_case)[case]
     _, fix, bank = tie_case
     # one prepared pair serves every metric in turn, so later metrics read
     # what earlier ones memoized
     ps, pg = prepare(s), prepare(g)
-    for name, scorer in SCORERS.items():
+    for name, scorer in {**SCORERS, **_trial_scorers(trial_rows)}.items():
         raw = _outcome(scorer, s, g, fix, bank)
         _assert_same(raw, _outcome(scorer, ps, pg, fix, bank))
         _assert_same(raw, _outcome(scorer, s, pg, fix, bank))

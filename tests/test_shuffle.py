@@ -4,6 +4,7 @@ from scipy import stats
 
 import saleval
 from saleval import shuffle
+from saleval.errors import DegenerateInputError
 from saleval.maps import FixationSet
 from saleval.shuffle import (
     ShuffleBank,
@@ -169,8 +170,10 @@ def test_shuffled_multiplicity_chi_square():
 
 def test_trial_plan_defaults_and_digest():
     plan = TrialPlan()
-    assert plan.num_trials == 100
-    assert plan.samples_per_trial is None
+    assert (plan.num_trials, plan.master_seed) == (100, 0)
+    # pinned: the plan-v1 key keeps its literal "None" field, so recorded digests still match
+    assert plan.digest() == "cefaee5979da7d7c"
+    assert TrialPlan(num_trials=7, master_seed=3).digest() == "8ca57d494a33f829"
     assert plan.digest() == TrialPlan().digest()
     assert plan.digest() != TrialPlan(master_seed=1).digest()
     with pytest.raises(ValueError):
@@ -200,8 +203,8 @@ def _counting_rng(monkeypatch) -> list:
 
 def test_shuffled_draws_are_memoized_without_changing_them(monkeypatch):
     bank = _bank()
-    fs = FixationSet("a", [[1, 1], [2, 2], [3, 3]], (10, 10))
-    plan = TrialPlan(num_trials=6, samples_per_trial=4, master_seed=11)
+    fs = FixationSet("a", [[1, 1], [2, 2], [3, 3], [4, 4]], (10, 10))  # n = 4 negatives per trial
+    plan = TrialPlan(num_trials=6, master_seed=11)
     pool = pooled_fixations(bank, "a")
     seeds = [derive_trial_seed(11, "a", "sauc", t) for t in range(6)]
     fresh = [pool[np.random.Generator(np.random.PCG64(s)).integers(0, len(pool), size=4)] for s in seeds]
@@ -218,12 +221,12 @@ def test_shuffled_draws_are_memoized_without_changing_them(monkeypatch):
 
 
 def test_memoized_draws_are_read_only_and_keyed_by_pool_and_n(monkeypatch):
-    fs = FixationSet("a", [[1, 1], [2, 2], [3, 3]], (10, 10))
+    fs = FixationSet("a", [[1, 1], [2, 2], [3, 3], [4, 4]], (10, 10))  # n = 4
     bank = _bank()  # a pool of 5 points once "a" is left out
     more = build_shuffle_bank(
         [fs, FixationSet("b", [[x, 9 - x] for x in range(10)], (10, 10))], (10, 10)
     )
-    plan = TrialPlan(num_trials=3, samples_per_trial=4, master_seed=99)
+    plan = TrialPlan(num_trials=3, master_seed=99)
     constructions = _counting_rng(monkeypatch)
     shuffle._pool_index_tensor.cache_clear()
     draws = shuffled_draws(bank, fs, "snss", plan)
@@ -234,7 +237,8 @@ def test_memoized_draws_are_read_only_and_keyed_by_pool_and_n(monkeypatch):
     assert len(constructions) == 3
     # another pool size and another n each draw their own tensor
     other_pool = shuffled_draws(more, fs, "snss", plan)
-    other_n = shuffled_draws(bank, fs, "snss", TrialPlan(3, samples_per_trial=5, master_seed=99))
+    five = FixationSet("a", [[1, 1], [2, 2], [3, 3], [4, 4], [0, 0]], (10, 10))
+    other_n = shuffled_draws(bank, five, "snss", plan)
     assert len(constructions) == 9
     assert shuffle._pool_index_tensor.cache_info().currsize == 3
     assert other_n.shape == (3, 5, 2) and not other_n.flags.writeable
@@ -253,19 +257,21 @@ def test_uniform_draws_are_memoized_without_changing_them(monkeypatch):
                    [5, 3], [3, 4]]
     assert sample_uniform_nonfixated(fs, 6, seed=2024).tolist() == rejection
     assert sample_uniform_nonfixated(fs, 20, seed=2024).tolist() == permutation
+    plan = TrialPlan(num_trials=5, master_seed=7)
+    seeds = [derive_trial_seed(7, "a", "auc_f", t) for t in range(5)]
+    # n fixations draw n negatives: 6 of 57 free pixels rejects, 20 of 43 permutes
     for n in (6, 20):
-        plan = TrialPlan(num_trials=5, samples_per_trial=n, master_seed=7)
-        seeds = [derive_trial_seed(7, "a", "auc_f", t) for t in range(5)]
+        fs_n = FixationSet("a", [[i % 9, i // 9] for i in range(0, 3 * n, 3)], (9, 7))
         constructions = _counting_rng(monkeypatch)
         shuffle._uniform_tensor.cache_clear()
-        cold = uniform_draws(fs, "auc_f", plan)
-        warm = uniform_draws(fs, "auc_f", plan)
+        cold = uniform_draws(fs_n, "auc_f", plan)
+        warm = uniform_draws(fs_n, "auc_f", plan)
         assert warm is cold and cold.shape == (5, n, 2)
         assert constructions == seeds  # the second call built no generator
         monkeypatch.undo()
         for t, seed in enumerate(seeds):
-            assert np.array_equal(cold[t], sample_uniform_nonfixated(fs, n, seed))
-        assert all(np.array_equal(a, b) for a, b in zip(cold, uniform_negative_trials(fs, "auc_f", plan)))
+            assert np.array_equal(cold[t], sample_uniform_nonfixated(fs_n, n, seed))
+        assert all(np.array_equal(a, b) for a, b in zip(cold, uniform_negative_trials(fs_n, "auc_f", plan)))
     # the pinned draws are the rows of a tensor made with their seed
     for n, pinned in ((6, rejection), (20, permutation)):
         tensor = shuffle._uniform_tensor((1, 2024, 3), 9, 7, fs.points.tobytes(), n)
@@ -273,8 +279,9 @@ def test_uniform_draws_are_memoized_without_changing_them(monkeypatch):
 
 
 def test_memoized_uniform_draws_are_read_only_and_keyed_by_fixations_frame_and_n(monkeypatch):
-    fs = FixationSet("a", [[1, 1], [2, 2]], (16, 16))
-    plan = TrialPlan(num_trials=2, samples_per_trial=5, master_seed=3)
+    five = [[1, 1], [2, 2], [3, 3], [4, 4], [5, 5]]
+    fs = FixationSet("a", five, (16, 16))
+    plan = TrialPlan(num_trials=2, master_seed=3)
     constructions = _counting_rng(monkeypatch)
     shuffle._uniform_tensor.cache_clear()
     pts = uniform_draws(fs, "auc_f", plan)
@@ -282,12 +289,13 @@ def test_memoized_uniform_draws_are_read_only_and_keyed_by_fixations_frame_and_n
     with pytest.raises(ValueError):
         pts[0, 0, 0] = 0
     # another fixation set with the same id, another frame, another n
-    moved = FixationSet("a", [[1, 1], [2, 3]], (16, 16))
-    wider = FixationSet("a", [[1, 1], [2, 2]], (17, 16))
+    moved = FixationSet("a", five[:-1] + [[5, 6]], (16, 16))
+    wider = FixationSet("a", five, (17, 16))
+    six = FixationSet("a", five + [[6, 6]], (16, 16))
     others = (
         (moved, uniform_draws(moved, "auc_f", plan)),
         (wider, uniform_draws(wider, "auc_f", plan)),
-        (fs, uniform_draws(fs, "auc_f", TrialPlan(2, samples_per_trial=6, master_seed=3))),
+        (six, uniform_draws(six, "auc_f", plan)),
     )
     assert uniform_draws(fs, "auc_f", plan) is pts
     assert len(constructions) == 8
@@ -300,17 +308,15 @@ def test_memoized_uniform_draws_are_read_only_and_keyed_by_fixations_frame_and_n
 
 
 def test_trial_plan_refuses_non_integral_fields():
-    for field in ("num_trials", "samples_per_trial", "master_seed"):
-        for bad in (2.5, 2.0, True, "3", None if field != "samples_per_trial" else "x"):
+    for field in ("num_trials", "master_seed"):
+        for bad in (2.5, 2.0, True, "3", None):
             with pytest.raises(ValueError, match=field):
                 TrialPlan(**{field: bad})
-    with pytest.raises(ValueError, match="samples_per_trial"):
-        TrialPlan(samples_per_trial=0)
     # numpy integers are stored as int: same digest, same seeds, same draws
-    plan = TrialPlan(num_trials=np.int64(4), samples_per_trial=np.int32(3), master_seed=np.uint8(7))
-    same = TrialPlan(num_trials=4, samples_per_trial=3, master_seed=7)
+    plan = TrialPlan(num_trials=np.int64(4), master_seed=np.uint8(7))
+    same = TrialPlan(num_trials=4, master_seed=7)
     assert plan == same and plan.digest() == same.digest()
-    assert all(type(v) is int for v in (plan.num_trials, plan.samples_per_trial, plan.master_seed))
+    assert all(type(v) is int for v in (plan.num_trials, plan.master_seed))
     fs = FixationSet("a", [[1, 1], [2, 2], [3, 3]], (10, 10))
     assert np.array_equal(shuffled_draws(_bank(), fs, "sauc", plan), shuffled_draws(_bank(), fs, "sauc", same))
 
@@ -328,3 +334,26 @@ def test_shuffled_metrics_refuse_a_bank_of_another_frame(metric, bank_frame):
     bank = build_shuffle_bank(sets, bank_frame)
     with pytest.raises(ValueError, match="shuffle bank frame"):
         getattr(saleval, metric)(rng.random((24, 32)), sets[0], bank, TrialPlan(num_trials=3))
+
+
+def test_a_refused_or_degenerate_map_derives_no_trial_seeds(monkeypatch, tie_case):
+    # every check runs before the draw, so a refused map costs no seed derivation
+    s, fix, bank = tie_case  # s peaks at exactly 1.0
+    plan = TrialPlan(num_trials=3)
+    derived = []
+    real = shuffle.derive_trial_seed
+    monkeypatch.setattr(shuffle, "derive_trial_seed", lambda *key: derived.append(key) or real(*key))
+
+    def score(metric, m):
+        args = (fix, plan) if metric == "auc_f" else (fix, bank, plan)
+        return getattr(saleval, metric)(m, *args)
+
+    for metric in ("snss", "sskld", "sjsd", "semd"):
+        with pytest.raises(DegenerateInputError, match=f"zero-variance map in {metric}"):
+            score(metric, np.full(s.shape, 0.5))
+    for metric in ("sauc", "auc_f", "sskld", "sjsd", "semd"):
+        with pytest.raises(ValueError, match=f"{metric} expects a normalized map"):
+            score(metric, s * 2.0)
+    assert derived == []
+    score("sauc", s)  # an accepted map derives one seed per trial
+    assert derived == [(0, "a", "sauc", t) for t in range(3)]
