@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+# eager imports: a wrapper installed after importing the CLI must find every binding
 from .errors import ManifestError
 from .harness import (
     ALL_METRICS,
@@ -28,13 +29,12 @@ from .harness import (
     evaluate_batch,
     kendalls_w,
     load_manifest,
-    normalized_std_table,
     rank_by_score,
     read_records,
     synth_dataset,
 )
 from .harness.report import write_rows
-from .harness.stats import GROUP_KEYS, STD_AXES
+from .harness.stats import GROUP_KEYS, STD_AXES, _std_table
 from .metrics_histogram import SIGN_MODES
 from .shuffle import RNG_ALGORITHM, SEED_DERIVATION, TrialPlan
 
@@ -192,10 +192,10 @@ def _cmd_aggregate(args) -> int:
     path = out / f"aggregate_{args.group_by}.csv"
     write_rows(path, rows)
     if args.group_by == "distortion":
-        # rows are normalized_std_table's own aggregate, so this is its stratum count
+        # rows are the aggregate normalized_std_table would build again, so the tables reuse them
         for axis, (_, across) in STD_AXES.items():
             if len({row[across] for row in rows}) >= 2:
-                write_rows(out / f"normalized_std_{axis}.csv", normalized_std_table(records, axis))
+                write_rows(out / f"normalized_std_{axis}.csv", _std_table(rows, axis))
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 

@@ -17,7 +17,6 @@ candidate is alive at a time.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -300,6 +299,8 @@ def evaluate_batch(
         models = tuple((m.model_id, manifest.root / m.maps[image.image_id]) for m in manifest.models)
         units.append((image, fix, banks[frame], manifest.fwhm_px, plan, config, models))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so only a pooled batch loads it
+
         _convolve1d()  # import scipy before the workers fork, so that they share it
         with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
             chunks = list(pool.map(_evaluate_image, units))

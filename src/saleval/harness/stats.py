@@ -165,8 +165,12 @@ def normalized_std_table(records: Sequence[EvaluationRecord], axis: str = "level
     """
     if axis not in STD_AXES:
         raise ValueError("axis must be 'levels' or 'types'")
+    return _std_table(aggregate_scores(records, group_by="distortion"), axis)
+
+
+def _std_table(agg, axis: str):
+    """normalized_std_table from aggregate_scores(records, "distortion")'s rows."""
     row_key, col_key = STD_AXES[axis]
-    agg = aggregate_scores(records, group_by="distortion")
     axis_values = sorted({row[row_key] for row in agg})
     if len({row[col_key] for row in agg}) < 2:
         raise ValueError(f"records span fewer than 2 strata on the {col_key} axis")

@@ -56,12 +56,22 @@ def read_pgm(path) -> np.ndarray:
         if len(data) - pos < width * height * dtype.itemsize:
             raise ValueError(f"{path}: truncated PGM raster")
         raster = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
+        if raster.max(initial=0) > maxval:
+            raise ValueError(f"{path}: pixel value exceeds maxval")
     else:
-        raster = np.array(data[pos:].split()[: width * height], dtype=np.uint32)
-        if raster.size != width * height:
+        tokens = data[pos:].split()[: width * height]
+        if len(tokens) != width * height:
             raise ValueError(f"{path}: truncated PGM raster")
-    if raster.max(initial=0) > maxval:
-        raise ValueError(f"{path}: pixel value exceeds maxval")
+        try:
+            values = [int(t) for t in tokens]
+        except ValueError:
+            raise ValueError(f"{path}: non-integer PGM pixel value") from None
+        # checked as Python integers: a fixed-width cast would overflow first
+        if min(values) < 0:
+            raise ValueError(f"{path}: negative PGM pixel value")
+        if max(values) > maxval:
+            raise ValueError(f"{path}: pixel value exceeds maxval")
+        raster = np.array(values)
     return raster.reshape(height, width).astype(np.float64) / maxval
 
 

@@ -31,10 +31,7 @@ costs about what it saves.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,6 +327,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _in_pool_worker() -> bool:
+    """Whether this process was started by ``multiprocessing``."""
+    import multiprocessing  # here, so that importing saleval loads no process machinery
+
+    return multiprocessing.parent_process() is not None
+
+
 def _in_bands(passes, pixels: int) -> None:
     """Run each pass ``(work, lines)`` as ``work(slice)`` over contiguous bands.
 
@@ -345,12 +349,15 @@ def _in_bands(passes, pixels: int) -> None:
     by a forked pool worker). Every thread's result is read, so an
     exception in any band propagates.
     """
-    worker = multiprocessing.parent_process() is not None
-    cpus = 1 if pixels < _BAND_MIN_PIXELS or worker else _usable_cpus()
+    cpus = 1 if pixels < _BAND_MIN_PIXELS or _in_pool_worker() else _usable_cpus()
     if cpus == 1:
         for work, lines in passes:
             work(slice(0, lines))
         return
+    # imported here, so that only a banded blur loads the thread machinery
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=cpus - 1) as pool:
         for work, lines in passes:
             bands = min(lines, _BANDS_PER_CPU * cpus)

@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
 
-from saleval import maps
+from saleval import cli, maps
 from saleval.cli import main
-from saleval.harness import EvalConfig, read_records
+from saleval.harness import EvalConfig, EvaluationRecord, emit_report, read_records, stats
 
 
 @pytest.fixture()
@@ -124,6 +125,39 @@ def test_aggregate_writes_each_spread_table_that_has_two_strata(tmp_path):
     assert [line.split(",")[1:3] for line in types[1:]] == [["blur", "cc"], ["blur", "sauc"]]
 
 
+def test_aggregate_aggregates_once_and_warns_once_per_empty_stratum(tmp_path, monkeypatch):
+    # 2 types x 2 levels, so both spread tables are written; one stratum has no score
+    cells = {("blur", "low"): 0.6, ("blur", "high"): 0.5, ("jpeg", "low"): 0.7, ("jpeg", "high"): 0.4}
+    records = [
+        EvaluationRecord(model, f"{dtype}{level}", "sauc", score + bias, 0.0, dtype, level,
+                         "unspecified", "d")
+        for model, bias in (("m1", 0.0), ("m2", 0.1))
+        for (dtype, level), score in cells.items()
+    ]
+    records[-1] = dataclasses.replace(records[-1], score=None)  # m2 at jpeg/high
+    emit_report(records, [], None, tmp_path / "in")
+    calls = []
+    real = stats.aggregate_scores
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("group_by"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "aggregate_scores", counted)
+    monkeypatch.setattr(cli, "aggregate_scores", counted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["aggregate", "--records", str(tmp_path / "in" / "records.csv"),
+                     "--out", str(tmp_path / "agg")])
+    assert code == 0
+    assert calls == ["distortion"]
+    assert [str(w.message) for w in caught if "no scores" in str(w.message)] == [
+        "stratum ('m2', 'sauc', 'jpeg', 'high') has no scores; omitted"
+    ]
+    for axis in ("levels", "types"):
+        assert (tmp_path / "agg" / f"normalized_std_{axis}.csv").is_file()
+
+
 def test_rank_command_concordant_datasets(dataset, tmp_path):
     # same generator, different seeds: model quality ordering is stable so
     # the concordance lands at 1
@@ -205,6 +239,16 @@ def test_bad_pixels_per_degree_is_user_error_and_writes_no_records(dataset, tmp_
     manifest.write_text(json.dumps(raw))
     assert _evaluate(dataset, tmp_path / "out", ["--metrics", "cc"]) == 1
     assert "pixels_per_degree" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "records.csv").exists()
+
+
+@pytest.mark.parametrize("token", [b"x", b"-1", b"99999999999"])
+def test_bad_ascii_map_pixel_is_user_error_naming_the_file(dataset, tmp_path, capsys, token):
+    map_path = dataset / "maps" / "gt_copy" / "img000.pgm"
+    map_path.write_bytes(b"P2\n48 36\n255\n" + b"0 " * (48 * 36 - 1) + token + b"\n")
+    assert _evaluate(dataset, tmp_path / "out", ["--metrics", "cc"]) == 1
+    err = capsys.readouterr().err
+    assert "saleval: error:" in err and "img000.pgm" in err
     assert not (tmp_path / "out" / "records.csv").exists()
 
 

@@ -60,6 +60,24 @@ def test_pgm_rejects_truncated_raster(tmp_path):
             read_pgm(path)
 
 
+@pytest.mark.parametrize(
+    "raster, message",
+    [
+        (b"1 x", "non-integer PGM pixel value"),
+        (b"1 2.5", "non-integer PGM pixel value"),
+        (b"1 -1", "negative PGM pixel value"),
+        (b"1 256", "pixel value exceeds maxval"),
+        (b"1 99999999999", "pixel value exceeds maxval"),
+    ],
+    ids=["letter", "fraction", "negative", "above-maxval", "past-uint32"],
+)
+def test_pgm_ascii_rejects_bad_pixel_values_naming_the_file(tmp_path, raster, message):
+    path = tmp_path / "bad2.pgm"
+    path.write_bytes(b"P2\n2 1\n255\n" + raster + b"\n")
+    with pytest.raises(ValueError, match=f"bad2.pgm: {message}"):
+        read_pgm(path)
+
+
 def test_pgm_write_rejects_out_of_range(tmp_path):
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "x.pgm", np.array([[1.5]]))

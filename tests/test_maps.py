@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import sys
 import threading
 
@@ -226,7 +227,7 @@ def test_banded_blur_with_more_bands_than_lines(monkeypatch, cpus):
 def test_pool_worker_process_blurs_on_one_thread(monkeypatch):
     # pool workers share the CPUs with their siblings: one band, calling thread
     monkeypatch.setattr(maps, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(maps.multiprocessing, "parent_process", lambda: object())
+    monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
     seen = []
     maps._in_bands(((lambda band: seen.append((band, threading.get_ident())), 512),), 10**9)
     assert seen == [(slice(0, 512), threading.get_ident())]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -384,14 +385,14 @@ def test_pool_has_at_most_one_worker_per_image(tmp_path, monkeypatch):
     manifest = load_manifest(path)
     sizes = []
 
-    class RecordedPool(protocol.ProcessPoolExecutor):
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, *args, **kwargs):
             sizes.append(max_workers)
             if max_workers > len(manifest.images):  # refused before any process starts
                 raise RuntimeError(f"{max_workers} workers for {len(manifest.images)} images")
             super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(protocol, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
     plan = TrialPlan(num_trials=3, master_seed=1)
     config = EvalConfig(trials=3, blur_sweep=(0.0,), metrics=("snss",))
     records = evaluate_batch(manifest, config, plan, jobs=8)
