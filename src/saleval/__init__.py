@@ -16,109 +16,76 @@ Modules:
     flow: the exact min-cost transport solver behind the EMD.
     harness: manifests, the evaluation protocol, statistics, reports.
     cli: the `saleval` command.
-
-Every name below is imported from its module on first access, so a
-process loads only the modules whose names it uses.
 """
 
-import importlib
+from .errors import DegenerateInputError, ManifestError
+from .flow import FlowSolution, min_cost_transport
+from .harness import (
+    ALL_METRICS,
+    SHUFFLED_METRICS,
+    DatasetManifest,
+    EvalConfig,
+    EvaluationRecord,
+    aggregate_scores,
+    build_rankings,
+    emit_report,
+    evaluate_batch,
+    evaluate_pair,
+    kendalls_w,
+    load_manifest,
+    normalized_std_table,
+    optimal_blur_search,
+    rank_by_score,
+    read_records,
+    synth_dataset,
+)
+from .io import read_fixations, read_pgm, write_fixations, write_pgm
+from .maps import (
+    FixationSet,
+    centered_gaussian_baseline,
+    density_from_fixations,
+    gaussian_blur,
+    invert_map,
+    normalize_map,
+    resize_map,
+    values_at,
+)
+from .metrics_fixation import (
+    MetricScore,
+    RocCurve,
+    auc_f,
+    auc_of_curve,
+    auc_pair_oracle,
+    auc_s,
+    cc,
+    nss,
+    nss_at_points,
+    roc_from_samples,
+    sauc,
+    sim,
+    snss,
+)
+from .metrics_histogram import (
+    GroundDistanceSpec,
+    ValueHistogram,
+    emd_brute_oracle,
+    emd_hat,
+    hist_at_points,
+    jsd,
+    semd,
+    sjsd,
+    sskld,
+    symmetric_kld,
+)
+from .shuffle import (
+    RNG_ALGORITHM,
+    SEED_DERIVATION,
+    ShuffleBank,
+    TrialPlan,
+    build_shuffle_bank,
+    derive_trial_seed,
+    sample_shuffled_nonfixated,
+    sample_uniform_nonfixated,
+)
 
-_EXPORTS = {
-    "errors": ("DegenerateInputError", "ManifestError"),
-    "flow": ("FlowSolution", "min_cost_transport"),
-    "harness": (
-        "ALL_METRICS",
-        "SHUFFLED_METRICS",
-        "DatasetManifest",
-        "EvalConfig",
-        "EvaluationRecord",
-        "aggregate_scores",
-        "build_rankings",
-        "emit_report",
-        "evaluate_batch",
-        "evaluate_pair",
-        "kendalls_w",
-        "load_manifest",
-        "normalized_std_table",
-        "optimal_blur_search",
-        "rank_by_score",
-        "read_records",
-        "synth_dataset",
-    ),
-    "io": ("read_fixations", "read_pgm", "write_fixations", "write_pgm"),
-    "maps": (
-        "FixationSet",
-        "centered_gaussian_baseline",
-        "density_from_fixations",
-        "gaussian_blur",
-        "invert_map",
-        "normalize_map",
-        "resize_map",
-        "values_at",
-    ),
-    "metrics_fixation": (
-        "MetricScore",
-        "RocCurve",
-        "auc_f",
-        "auc_of_curve",
-        "auc_pair_oracle",
-        "auc_s",
-        "cc",
-        "nss",
-        "nss_at_points",
-        "roc_from_samples",
-        "sauc",
-        "sim",
-        "snss",
-    ),
-    "metrics_histogram": (
-        "GroundDistanceSpec",
-        "ValueHistogram",
-        "emd_brute_oracle",
-        "emd_hat",
-        "hist_at_points",
-        "jsd",
-        "semd",
-        "sjsd",
-        "sskld",
-        "symmetric_kld",
-    ),
-    "shuffle": (
-        "RNG_ALGORITHM",
-        "SEED_DERIVATION",
-        "ShuffleBank",
-        "TrialPlan",
-        "build_shuffle_bank",
-        "derive_trial_seed",
-        "sample_shuffled_nonfixated",
-        "sample_uniform_nonfixated",
-    ),
-}
-
-
-def _lazy_exports(namespace: dict, exports: dict):
-    """``__all__``, ``__getattr__`` and ``__dir__`` for a package's re-exports.
-
-    exports maps each submodule to the names the package re-exports from
-    it. The submodule is imported on the first access to one of its names
-    (PEP 562), and the value is bound in the package namespace, so later
-    lookups find it there without a call.
-    """
-    package = namespace["__name__"]
-    homes = {name: module for module, names in exports.items() for name in names}
-
-    def __getattr__(name):
-        if name not in homes:
-            raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        value = getattr(importlib.import_module(f"{package}.{homes[name]}"), name)
-        namespace[name] = value
-        return value
-
-    def __dir__():
-        return sorted(set(namespace) | set(homes))
-
-    return sorted(homes), __getattr__, __dir__
-
-
-__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
 __version__ = "0.1.0"

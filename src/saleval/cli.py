@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-# eager imports: a wrapper installed after importing the CLI must find every binding
 from .errors import ManifestError
 from .harness import (
     ALL_METRICS,
@@ -34,7 +33,7 @@ from .harness import (
     synth_dataset,
 )
 from .harness.report import write_rows
-from .harness.stats import GROUP_KEYS, STD_AXES, _std_table
+from .harness.stats import GROUP_KEYS, spread_tables
 from .metrics_histogram import SIGN_MODES
 from .shuffle import RNG_ALGORITHM, SEED_DERIVATION, TrialPlan
 
@@ -192,10 +191,9 @@ def _cmd_aggregate(args) -> int:
     path = out / f"aggregate_{args.group_by}.csv"
     write_rows(path, rows)
     if args.group_by == "distortion":
-        # rows are the aggregate normalized_std_table would build again, so the tables reuse them
-        for axis, (_, across) in STD_AXES.items():
-            if len({row[across] for row in rows}) >= 2:
-                write_rows(out / f"normalized_std_{axis}.csv", _std_table(rows, axis))
+        # the tables reuse these rows, which normalized_std_table would aggregate again
+        for axis, table in spread_tables(rows).items():
+            write_rows(out / f"normalized_std_{axis}.csv", table)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 

@@ -1,39 +1,57 @@
-"""Dataset ingestion, the evaluation protocol, aggregation and reports.
+"""Dataset ingestion, the evaluation protocol, aggregation and reports."""
 
-Every name below is imported from its module on first access, so that
-loading a manifest does not load the protocol, statistics or reports.
-"""
+from .dataset import (
+    BASELINE_MODELS,
+    COMPLEXITIES,
+    DISTORTION_LEVELS,
+    DISTORTION_TYPES,
+    DatasetManifest,
+    ImageEntry,
+    ModelEntry,
+    load_manifest,
+    synth_dataset,
+)
+from .protocol import (
+    ALL_METRICS,
+    SHUFFLED_METRICS,
+    EvalConfig,
+    EvaluationRecord,
+    evaluate_batch,
+    evaluate_pair,
+    optimal_blur_search,
+)
+from .report import RECORD_FIELDS, emit_report, read_records
+from .stats import (
+    aggregate_scores,
+    build_rankings,
+    kendalls_w,
+    normalized_std_table,
+    rank_by_score,
+)
 
-from .. import _lazy_exports
-
-_EXPORTS = {
-    "dataset": (
-        "BASELINE_MODELS",
-        "COMPLEXITIES",
-        "DISTORTION_LEVELS",
-        "DISTORTION_TYPES",
-        "DatasetManifest",
-        "ImageEntry",
-        "ModelEntry",
-        "load_manifest",
-        "synth_dataset",
-    ),
-    "protocol": (
-        "ALL_METRICS",
-        "SHUFFLED_METRICS",
-        "EvalConfig",
-        "EvaluationRecord",
-        "evaluate_batch",
-        "evaluate_pair",
-        "optimal_blur_search",
-    ),
-    "report": ("RECORD_FIELDS", "emit_report", "read_records"),
-    "stats": (
-        "aggregate_scores",
-        "build_rankings",
-        "kendalls_w",
-        "normalized_std_table",
-        "rank_by_score",
-    ),
-}
-__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__ = [
+    "ALL_METRICS",
+    "BASELINE_MODELS",
+    "COMPLEXITIES",
+    "DISTORTION_LEVELS",
+    "DISTORTION_TYPES",
+    "RECORD_FIELDS",
+    "SHUFFLED_METRICS",
+    "DatasetManifest",
+    "EvalConfig",
+    "EvaluationRecord",
+    "ImageEntry",
+    "ModelEntry",
+    "aggregate_scores",
+    "build_rankings",
+    "emit_report",
+    "evaluate_batch",
+    "evaluate_pair",
+    "kendalls_w",
+    "load_manifest",
+    "normalized_std_table",
+    "optimal_blur_search",
+    "rank_by_score",
+    "read_records",
+    "synth_dataset",
+]

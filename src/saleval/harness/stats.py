@@ -26,6 +26,7 @@ __all__ = [
     "kendalls_w",
     "normalized_std_table",
     "rank_by_score",
+    "spread_tables",
 ]
 
 GROUP_KEYS = {
@@ -165,15 +166,28 @@ def normalized_std_table(records: Sequence[EvaluationRecord], axis: str = "level
     """
     if axis not in STD_AXES:
         raise ValueError("axis must be 'levels' or 'types'")
-    return _std_table(aggregate_scores(records, group_by="distortion"), axis)
+    table = _std_table(aggregate_scores(records, group_by="distortion"), axis)
+    if table is None:
+        raise ValueError(f"records span fewer than 2 strata on the {STD_AXES[axis][1]} axis")
+    return table
+
+
+def spread_tables(agg) -> dict:
+    """normalized_std_table on each axis with 2 strata, from its aggregate rows.
+
+    agg is aggregate_scores(records, "distortion"); an axis whose spread
+    would be taken across fewer than 2 strata is left out.
+    """
+    tables = {axis: _std_table(agg, axis) for axis in STD_AXES}
+    return {axis: table for axis, table in tables.items() if table is not None}
 
 
 def _std_table(agg, axis: str):
-    """normalized_std_table from aggregate_scores(records, "distortion")'s rows."""
+    """normalized_std_table from its aggregate rows; None below 2 strata."""
     row_key, col_key = STD_AXES[axis]
-    axis_values = sorted({row[row_key] for row in agg})
     if len({row[col_key] for row in agg}) < 2:
-        raise ValueError(f"records span fewer than 2 strata on the {col_key} axis")
+        return None
+    axis_values = sorted({row[row_key] for row in agg})
     out = []
     for axis_value in axis_values:
         rows = [r for r in agg if r[row_key] == axis_value]

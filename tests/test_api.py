@@ -1,5 +1,5 @@
 """The public API: every exported name resolves, every re-export is exported at home,
-and a caller loads only the modules it uses."""
+and a process that starts no pool loads no process machinery."""
 
 import ast
 import importlib
@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import saleval
-from saleval.harness import synth_dataset
 
 MODULES = sorted(
     ["saleval"] + [m.name for m in pkgutil.walk_packages(saleval.__path__, "saleval.")]
@@ -23,6 +22,9 @@ MODULES = sorted(
 def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", None)
+    if name == "saleval":
+        assert exported is None  # the package re-exports; the test below covers it
+        return
     assert exported, f"{name} has no __all__"
     assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
     missing = [n for n in exported if not hasattr(module, n)]
@@ -31,74 +33,39 @@ def test_every_name_in_all_resolves(name):
 
 @pytest.mark.parametrize("package", ["saleval", "saleval.harness"])
 def test_every_package_import_is_in_its_defining_modules_all(package):
-    # the lazy table: each name is exported at home, and the package hands out that object
-    pkg = importlib.import_module(package)
-    checked = []
-    for module, names in pkg._EXPORTS.items():
-        home = importlib.import_module(f"{package}.{module}")
-        for name in names:
-            assert name in home.__all__, f"{package} exports {name}, not in {home.__name__}.__all__"
-            assert getattr(pkg, name) is getattr(home, name), f"{package}.{name} is not {home.__name__}'s"
-            assert vars(pkg)[name] is getattr(home, name), f"{package}.{name} is not kept after use"
-            checked.append(name)
-    assert checked and sorted(checked) == sorted(pkg.__all__)
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        getattr(pkg, "no_such_name")
+    init = Path(importlib.import_module(package).__file__)
+    tree = ast.parse(init.read_text(encoding="utf-8"))
+    checked = 0
+    for node in tree.body:
+        if not isinstance(node, ast.ImportFrom) or node.module == "__future__":
+            continue
+        assert node.level == 1, f"{package} imports from outside the package: {node.module}"
+        home = importlib.import_module(f"{package}.{node.module}")
+        for alias in node.names:
+            assert alias.name in home.__all__, f"{package} imports {alias.name}, not in {home.__name__}.__all__"
+            checked += 1
+    assert checked > 0
 
 
-# every name the packages imported from their modules when they imported them all eagerly
-EAGER_EXPORTS = {
-    "saleval": """
-        DegenerateInputError ManifestError FlowSolution min_cost_transport ALL_METRICS
-        SHUFFLED_METRICS DatasetManifest EvalConfig EvaluationRecord aggregate_scores
-        build_rankings emit_report evaluate_batch evaluate_pair kendalls_w load_manifest
-        normalized_std_table optimal_blur_search rank_by_score read_records synth_dataset
-        read_fixations read_pgm write_fixations write_pgm FixationSet
-        centered_gaussian_baseline density_from_fixations gaussian_blur invert_map
-        normalize_map resize_map values_at MetricScore RocCurve auc_f auc_of_curve
-        auc_pair_oracle auc_s cc nss nss_at_points roc_from_samples sauc sim snss
-        GroundDistanceSpec ValueHistogram emd_brute_oracle emd_hat hist_at_points jsd semd
-        sjsd sskld symmetric_kld RNG_ALGORITHM SEED_DERIVATION ShuffleBank TrialPlan
-        build_shuffle_bank derive_trial_seed sample_shuffled_nonfixated
-        sample_uniform_nonfixated
-    """.split(),
-    "saleval.harness": """
-        BASELINE_MODELS COMPLEXITIES DISTORTION_LEVELS DISTORTION_TYPES DatasetManifest
-        ImageEntry ModelEntry load_manifest synth_dataset ALL_METRICS SHUFFLED_METRICS
-        EvalConfig EvaluationRecord evaluate_batch evaluate_pair optimal_blur_search
-        RECORD_FIELDS emit_report read_records aggregate_scores build_rankings kendalls_w
-        normalized_std_table rank_by_score
-    """.split(),
-}
-
-
-@pytest.mark.parametrize("package", sorted(EAGER_EXPORTS))
-def test_star_import_binds_every_eager_export(package):
-    namespace = {}
-    exec(f"from {package} import *", namespace)
-    assert sorted(set(EAGER_EXPORTS[package]) - set(namespace)) == []
-
-
-def test_loading_a_manifest_loads_only_what_it_uses(tmp_path):
-    path = synth_dataset(tmp_path / "ds", num_images=2, frame=(16, 12), seed=3,
-                         fixations_per_image=4, models=("gt_copy",))
+def test_a_process_without_a_pool_loads_no_process_machinery(tmp_path):
+    path = saleval.synth_dataset(tmp_path / "ds", num_images=2, frame=(48, 36), seed=3,
+                                 fixations_per_image=6, models=("gt_copy",))
     script = (
         "import sys\n"
         "import saleval\n"
-        "assert set(saleval.__all__) <= set(dir(saleval)), 'dir() misses a lazy export'\n"
-        f"saleval.load_manifest({str(path)!r})\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in"
-        " ('saleval', 'concurrent', 'multiprocessing', 'scipy')))\n"
+        "def loaded(*roots):\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in roots)\n"
+        "manifest = saleval.load_manifest(sys.argv[1])\n"
+        "print(loaded('concurrent', 'multiprocessing', 'scipy'))\n"
+        "config = saleval.EvalConfig(trials=2, blur_sweep=(0.0, 1.0), metrics=('sauc', 'cc'))\n"
+        "records = saleval.evaluate_batch(manifest, config, saleval.TrialPlan(2, 1), jobs=1)\n"
+        "saleval.emit_report(records, saleval.build_rankings(saleval.aggregate_scores(records)),\n"
+        "                    None, sys.argv[2])\n"
+        "print(loaded('multiprocessing'))\n"  # scipy itself imports concurrent.futures
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == [
-        "saleval",
-        "saleval.errors",
-        "saleval.harness",
-        "saleval.harness.dataset",
-        "saleval.io",
-        "saleval.maps",
-    ]
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
+    assert (tmp_path / "out" / "records.csv").is_file()

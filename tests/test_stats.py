@@ -9,6 +9,7 @@ from saleval.harness import (
     normalized_std_table,
     rank_by_score,
 )
+from saleval.harness.stats import spread_tables
 
 
 def _rec(model, image, metric, score, dtype="blur", dlevel="low", complexity="unspecified"):
@@ -245,3 +246,16 @@ def test_normalized_std_requires_two_strata():
         normalized_std_table(recs, axis="levels")
     with pytest.raises(ValueError):
         normalized_std_table(recs, axis="diagonal")
+
+
+def test_spread_tables_are_normalized_std_tables_of_the_given_rows():
+    recs = _std_records()
+    agg = aggregate_scores(recs, group_by="distortion")
+    assert spread_tables(agg) == {axis: normalized_std_table(recs, axis) for axis in ("levels", "types")}
+    # one distortion type: no spread across types, so only the types table remains
+    blur = [r for r in recs if r.distortion_type == "blur"]
+    assert spread_tables(aggregate_scores(blur, group_by="distortion")) == {
+        "types": normalized_std_table(blur, "types")
+    }
+    with pytest.raises(ValueError, match="fewer than 2 strata on the distortion_type axis"):
+        normalized_std_table(blur, "levels")
