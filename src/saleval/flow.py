@@ -23,14 +23,17 @@ saves more than tol per arc and the plan is optimal to that tolerance.
 They also stop when the predecessor graph holds a cycle, which then costs
 less than -tol; pushing more than eps around it lowers the total cost by
 more than eps * tol, so the canceling ends. Zero-mass bins carry no flow
-and are left out of the graph. Instances here are histogram sized (tens
-of bins), so the search runs on plain Python lists, which beat numpy's
-per-call overhead at this size; no approximation layer is involved.
+and are left out of the graph. Step 2 is skipped when a side has at most
+one bin with mass: with none there is nothing to ship, and a lone source
+or sink that fills its cheapest partners first is optimal. Both steps
+run on Python lists taken once from the inputs, which beat numpy calls
+at histogram size (tens of bins); nothing is approximated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -50,58 +53,57 @@ class FlowSolution:
 def min_cost_transport(supply, demand, cost) -> FlowSolution:
     """Cheapest way to move min(sum supply, sum demand) mass.
 
-    supply (ns,) and demand (nd,) are non-negative masses; cost is an
-    (ns, nd) matrix of non-negative unit costs. Flows never exceed the
-    per-bin masses and their total equals the smaller of the two totals.
+    supply (ns,) and demand (nd,) are finite non-negative masses; cost is an
+    (ns, nd) matrix of unit costs, finite and non-negative where both bins
+    have mass. Flows never exceed the per-bin masses and total the smaller.
     """
     supply = np.asarray(supply, dtype=np.float64)
     demand = np.asarray(demand, dtype=np.float64)
     cost = np.asarray(cost, dtype=np.float64)
     if supply.ndim != 1 or demand.ndim != 1 or cost.shape != (supply.size, demand.size):
         raise ValueError("cost matrix shape must be (len(supply), len(demand))")
-    if (supply < 0).any() or (demand < 0).any() or (cost < 0).any():
-        raise ValueError("supplies, demands and costs must be >= 0")
-
-    si = (supply > 0).nonzero()[0]
-    dj = (demand > 0).nonzero()[0]
-    sub = cost[si][:, dj]
-    rs = supply[si].tolist()  # supply left
-    rd = demand[dj].tolist()  # demand left
+    a, b = supply.tolist(), demand.tolist()
+    si = [i for i, x in enumerate(a) if x > 0]
+    dj = [j for j, x in enumerate(b) if x > 0]
+    sub = cost.take([i * demand.size + j for i in si for j in dj]).tolist()  # (ns, nd) row-major
+    total_a, total_b = sum(a), sum(b)
+    # min misses a nan that is not first, but every sum catches it, and any inf
+    if min(a + b + sub, default=0.0) < 0 or not total_a + total_b + sum(sub) < np.inf:
+        raise ValueError("supplies, demands and costs must be finite and >= 0")
+    rs, rd = [a[i] for i in si], [b[j] for j in dj]  # supply and demand left
     ns, nd = len(rs), len(rd)
-    target = min(sum(rs), sum(rd))
-    eps = _REL_EPS * target
-    # nodes: supply bins 0..ns-1, demand bins ns..ns+nd-1, the slack node that
-    # takes unused supply, and the one that fills unmet demand; arcs carry a
-    # unit cost and shipped mass
-    unused, unmet = ns + nd, ns + nd + 1
-    cost_of = {(i, ns + j): cij for i, row in enumerate(sub.tolist()) for j, cij in enumerate(row)}
-    mass: dict[tuple[int, int], float] = {}
-    left = target
-    for k in np.argsort(sub, axis=None, kind="stable").tolist():
+    target = min(total_a, total_b)  # zero bins add nothing to a float sum
+    eps, left = _REL_EPS * target, target
+    flows = []  # (i, j, amount), cheapest cell first
+    for k in sorted(range(ns * nd), key=sub.__getitem__):  # stable: (cost, i, j) order
         if left <= eps:
             break
         i, j = divmod(k, nd)
         amount = min(rs[i], rd[j], left)
         if amount > 0:
-            mass[i, ns + j] = amount
+            flows.append((i, j, amount))
             rs[i] -= amount
             rd[j] -= amount
             left -= amount
-    # only the side with mass left over needs its slack node
-    if sum(rs) > eps:
-        cost_of.update(((i, unused), 0.0) for i in range(ns))
-        mass.update(((i, unused), r) for i, r in enumerate(rs))
-    if sum(rd) > eps:
-        cost_of.update(((unmet, ns + j), 0.0) for j in range(nd))
-        mass.update(((unmet, ns + j), r) for j, r in enumerate(rd))
-    if target > 0:
-        _cancel_negative_cycles(mass, cost_of, ns + nd + 2, eps, _REL_EPS * float(sub.max()))
-
-    arcs = sorted((a, b - ns, m) for (a, b), m in mass.items() if a < ns and b < unused and m > 0)
-    si, dj = si.tolist(), dj.tolist()
+    if ns > 1 and nd > 1:  # else the plan is already optimal
+        # nodes: supply bins 0..ns-1, demand bins ns..ns+nd-1, and the slack
+        # nodes of unused supply and unmet demand; arcs carry cost and mass
+        unused, unmet = ns + nd, ns + nd + 1
+        cost_of = dict(zip(product(range(ns), range(ns, ns + nd)), sub))
+        mass = {(i, ns + j): m for i, j, m in flows}
+        # only the side with mass left over needs its slack node
+        if sum(rs) > eps:
+            cost_of.update(((i, unused), 0.0) for i in range(ns))
+            mass.update(((i, unused), r) for i, r in enumerate(rs))
+        if sum(rd) > eps:
+            cost_of.update(((unmet, ns + j), 0.0) for j in range(nd))
+            mass.update(((unmet, ns + j), r) for j, r in enumerate(rd))
+        _cancel_negative_cycles(mass, cost_of, ns + nd + 2, eps, _REL_EPS * max(sub))
+        flows = [(u, v - ns, m) for (u, v), m in mass.items() if u < ns and v < unused and m > 0]
+    arcs = sorted(flows)
     return FlowSolution(
         flows=tuple((si[i], dj[j], m) for i, j, m in arcs),
-        cost=float(sum(m * cost_of[i, ns + j] for i, j, m in arcs)),
+        cost=float(sum(m * sub[i * nd + j] for i, j, m in arcs)),
     )
 
 

@@ -19,8 +19,9 @@ The three ROC metrics share one exact kernel. On a threshold grid with the
 >= rule, the area under the ROC is pair counting in which values that reach
 the same thresholds tie: each value is bucketed by how many thresholds it
 reaches, and the area is an int64 sum over the buckets' positive and
-negative counts, divided once. sauc and auc_f bucket their values with one
-searchsorted into the grid; auc_s reads its bucket counts from two sorts.
+negative counts, divided once. sauc and auc_f bucket their values from an
+index guess into the grid (_grid_buckets); auc_s reads its bucket counts
+from two sorts.
 roc_from_samples and auc_of_curve stay as the one-row public forms, whose
 trapezoid gives the same area to within rounding.
 
@@ -285,8 +286,21 @@ def _ascending_grid(levels: int) -> np.ndarray:
     return grid
 
 
-# the 256-level grid sauc and auc_f bucket their values into
+# the 256-level grid sauc and auc_f bucket their values into; _GRID_NEXT[k]
+# is the level after _GRID[k], and +inf after the last
 _GRID = _ascending_grid(256)
+_GRID_NEXT = np.append(_GRID[1:], np.inf)
+
+
+def _grid_buckets(vals: np.ndarray) -> np.ndarray:
+    """np.searchsorted(_GRID, vals, side="right") for values in [0, 1], without a search.
+
+    _GRID[k] is k / 255 to within rounding, so for k = floor(255 * v) the
+    levels below k are at or below v and those above k + 1 are above it;
+    two comparisons count levels k and k + 1.
+    """
+    k = (vals * (_GRID.size - 1)).astype(np.intp)
+    return k + (_GRID.take(k) <= vals) + (_GRID_NEXT.take(k) <= vals)
 
 
 def _grid_auc(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -311,12 +325,12 @@ def _grid_auc(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
 def _sample_auc_rows(pos_vals: np.ndarray, neg_vals: np.ndarray) -> np.ndarray:
     """Grid AUC of the (n,) positive values against each row of (..., m) negative values.
 
-    A value's bucket is how many thresholds of _GRID it reaches: one
-    searchsorted per side, then per-row counts.
+    A value's bucket is how many thresholds of _GRID it reaches
+    (_grid_buckets), then per-row counts.
     """
     k = _GRID.size + 1
-    pos = _row_counts(np.searchsorted(_GRID, pos_vals, side="right"), k)
-    neg = _row_counts(np.searchsorted(_GRID, neg_vals, side="right"), k)
+    pos = _row_counts(_grid_buckets(pos_vals), k)
+    neg = _row_counts(_grid_buckets(neg_vals), k)
     return _grid_auc(pos, neg)
 
 

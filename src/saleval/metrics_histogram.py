@@ -68,8 +68,10 @@ class ValueHistogram:
         mass = np.asarray(self.mass, dtype=np.float64)
         if mass.ndim != 1 or mass.size < 2:
             raise ValueError("mass must be 1-D with B >= 2 bins")
-        if (mass < 0).any():
-            raise ValueError("bin masses must be >= 0")
+        values = mass.tolist()
+        # min misses a nan that is not first, but the sum catches it, and any inf
+        if not (min(values) >= 0 and math.isfinite(sum(values))):
+            raise ValueError("bin masses must be finite and >= 0")
         if self.normalizer < 1:
             raise ValueError("normalizer must be >= 1")
         mass.setflags(write=False)

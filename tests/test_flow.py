@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import saleval.flow as flow
+from flow_reference import min_cost_transport as reference_transport
 from saleval.flow import FlowSolution, min_cost_transport
+
+nan, inf = float("nan"), float("inf")
 
 
 def _lp_reference(supply, demand, cost):
@@ -170,6 +174,82 @@ def test_rejects_bad_inputs():
         min_cost_transport([1.0], [1.0], [[-1.0]])
     with pytest.raises(ValueError):
         min_cost_transport([1.0, 2.0], [1.0], [[1.0]])
+
+
+@pytest.mark.parametrize(
+    "supply, demand, cost",
+    [
+        ([nan, 1.0], [0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]),  # a nan bin, not just dropped
+        ([1.0, nan], [0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]),
+        ([1.0, 1.0], [1.0, nan], [[0.0, 1.0], [1.0, 0.0]]),
+        ([inf, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]),
+        ([1.0, 1.0], [1.0, -inf], [[0.0, 1.0], [1.0, 0.0]]),
+        ([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [nan, 0.0]]),  # a nan cost
+        ([1.0, 1.0], [1.0, 1.0], [[nan, 1.0], [1.0, 0.0]]),
+        ([1.0, 1.0], [1.0, 1.0], [[0.0, inf], [1.0, 0.0]]),
+        ([1.0], [1.0, 1.0], [[2.0, -1.0]]),
+    ],
+)
+def test_rejects_non_finite_and_negative_values(supply, demand, cost):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        min_cost_transport(supply, demand, cost)
+
+
+def _bits(sol):
+    # a FlowSolution down to the bits of every float
+    return [(i, j, m.hex()) for i, j, m in sol.flows], float(sol.cost).hex()
+
+
+def _reference_cases(rng):
+    for supply, demand, cost in _generic_instances(rng, 600):  # tied integer and float costs
+        yield supply, demand, cost
+        yield supply * rng.uniform(0.2, 5.0), demand, cost  # unbalanced totals
+    yield from _emd_residual_instances(rng, 1200)  # zero bins, disjoint supports, ties
+    for k in range(400):  # one bin with mass on one side, or on both
+        ns, nd = rng.integers(1, 9, 2)
+        supply = rng.random(ns) * (rng.random(ns) < 0.7)
+        demand = rng.random(nd) * (rng.random(nd) < 0.7)
+        lone = supply if k % 2 else demand
+        lone[:] = 0.0
+        lone[rng.integers(lone.size)] = rng.uniform(0.1, 4.0)
+        if k % 5 == 0:
+            supply[:] = 0.0
+            supply[rng.integers(ns)] = rng.uniform(0.1, 4.0)
+        if k % 3:
+            cost = rng.integers(0, 4, (ns, nd)).astype(float)
+        else:
+            cost = rng.random((ns, nd)) * 4
+        yield supply, demand, cost
+
+
+def test_matches_the_numpy_reference_bit_for_bit():
+    rng = np.random.default_rng(31)
+    count = 0
+    for supply, demand, cost in _reference_cases(rng):
+        assert _bits(min_cost_transport(supply, demand, cost)) == _bits(
+            reference_transport(supply, demand, cost)
+        )
+        count += 1
+    assert count == 2800
+
+
+def test_a_one_bin_side_needs_no_cycle_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Bellman-Ford ran on a one-bin side")
+
+    monkeypatch.setattr(flow, "_negative_cycle", refuse)
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        n = rng.integers(1, 9)
+        many = rng.random(n) * (rng.random(n) < 0.8)
+        cost = rng.integers(0, 4, (1, n)).astype(float)
+        one = [rng.uniform(0.1, 4.0)]
+        for supply, demand, c in ((one, many, cost), (many, one, cost.T)):
+            sol = min_cost_transport(supply, demand, c)
+            assert sol.cost == pytest.approx(_lp_reference(np.array(supply), np.array(demand), c), abs=1e-9)
+            assert _bits(sol) == _bits(reference_transport(supply, demand, c))
+    # a zero target needs none either
+    assert min_cost_transport([0.0, 0.0], [1.0, 1.0], [[1.0, 2.0], [2.0, 1.0]]).flows == ()
 
 
 def test_solution_is_frozen_record():

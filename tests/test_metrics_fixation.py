@@ -11,6 +11,8 @@ from saleval.maps import (
     invert_map,
 )
 from saleval.metrics_fixation import (
+    _GRID,
+    _grid_buckets,
     _sample_auc_rows,
     auc_f,
     auc_of_curve,
@@ -352,6 +354,31 @@ def test_grid_kernel_is_pair_counting_on_random_grid_levels():
         neg = levels[np.rint(rng.beta(1, 2, (rng.integers(1, 6), rng.integers(1, 50))) * 255).astype(int)]
         oracle = [auc_pair_oracle(pos, row) for row in neg]
         assert _sample_auc_rows(pos, neg).tolist() == oracle
+
+
+def test_grid_buckets_are_searchsorted_on_the_grid():
+    # random values, every grid level and the ulps on either side of it,
+    # every k / 255 (the guess the buckets start from), 0 and 1
+    rng = np.random.default_rng(23)
+    k255 = np.arange(256) / 255
+    vals = np.concatenate(
+        (
+            rng.random(200_000),
+            _GRID,
+            np.nextafter(_GRID, -1.0),
+            np.nextafter(_GRID, 2.0),
+            k255,
+            np.nextafter(k255, -1.0),
+            np.nextafter(k255, 2.0),
+            [0.0, 1.0],
+        )
+    )
+    vals = vals[(vals >= 0.0) & (vals <= 1.0)]
+    expected = np.searchsorted(_GRID, vals, side="right")
+    np.testing.assert_array_equal(_grid_buckets(vals), expected)
+    # the (trials, n) shape the trial metrics pass
+    rows = vals[:200_000].reshape(400, 500)
+    np.testing.assert_array_equal(_grid_buckets(rows), expected[:200_000].reshape(400, 500))
 
 
 @pytest.mark.parametrize("point", [[-1, 0], [0, -1], [4, 0], [0, 3]])

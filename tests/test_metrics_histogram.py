@@ -65,6 +65,10 @@ def test_value_histogram_validation():
         (np.full((2, 2), 0.25), 1),  # not 1-D
         (np.array([1.0]), 1),  # a single bin
         (np.array([-0.1, 1.1]), 1),  # negative mass
+        (np.array([np.nan, 1.0, 0.0]), 1),  # nan mass, first
+        (np.array([1.0, np.nan, 0.0]), 1),  # nan mass, after a number
+        (np.array([0.5, np.inf]), 1),  # infinite mass
+        (np.array([0.5, -np.inf]), 1),
         (np.array([0.5, 0.5]), 0),  # normalizer < 1
     ):
         with pytest.raises(ValueError):
