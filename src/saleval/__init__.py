@@ -11,7 +11,7 @@ Modules:
     maps: map transforms, fixation sets, density maps, baselines.
     io: PGM map files and fixation text files.
     shuffle: seeded uniform and cross-image negative sampling.
-    metrics_fixation: CC, SIM, NSS, SNSS, ROC/AUC machinery.
+    metrics_fixation: CC, SIM, NSS, SNSS and the AUC family.
     metrics_histogram: value histograms, KLD/JSD, EMD, shuffled forms.
     flow: the exact min-cost transport solver behind the EMD.
     harness: manifests, the evaluation protocol, statistics, reports.
@@ -52,15 +52,11 @@ from .maps import (
 )
 from .metrics_fixation import (
     MetricScore,
-    RocCurve,
     auc_f,
-    auc_of_curve,
     auc_pair_oracle,
     auc_s,
     cc,
     nss,
-    nss_at_points,
-    roc_from_samples,
     sauc,
     sim,
     snss,
@@ -70,12 +66,10 @@ from .metrics_histogram import (
     ValueHistogram,
     emd_brute_oracle,
     emd_hat,
-    hist_at_points,
     jsd,
     semd,
     sjsd,
     sskld,
-    symmetric_kld,
 )
 from .shuffle import (
     RNG_ALGORITHM,

@@ -93,6 +93,22 @@ class DatasetManifest:
         return self.root / model.maps[image_id]
 
 
+def _check_pixels_per_degree(ppd) -> None:
+    """Refuse (ValueError) a pixels_per_degree that is not a finite number > 0.
+
+    Also refuse one whose density-map blur gaussian_blur cannot build.
+    """
+    # json.loads reads Infinity and NaN as floats, a bool is an int, and an
+    # integer above the largest float would overflow float()
+    number = isinstance(ppd, (int, float)) and not isinstance(ppd, bool)
+    if not (number and 0 < ppd <= sys.float_info.max):
+        raise ValueError(f"pixels_per_degree must be a finite number > 0, not {ppd!r}")
+    try:
+        check_blur_sigma(float(ppd) * FWHM_TO_SIGMA)  # the density map's blur
+    except ValueError as exc:
+        raise ValueError(f"pixels_per_degree {ppd!r} is too large: {exc}") from None
+
+
 def load_manifest(path) -> DatasetManifest:
     """Load and fully validate a dataset manifest.
 
@@ -112,15 +128,10 @@ def load_manifest(path) -> DatasetManifest:
     if raw.get("manifest_version") != MANIFEST_VERSION:
         raise ManifestError(f"{path}: manifest_version must be {MANIFEST_VERSION}")
     ppd = raw.get("pixels_per_degree")
-    # json.loads reads Infinity and NaN as floats, a bool is an int, and an
-    # integer above the largest float would overflow float()
-    number = isinstance(ppd, (int, float)) and not isinstance(ppd, bool)
-    if not (number and 0 < ppd <= sys.float_info.max):
-        raise ManifestError(f"{path}: pixels_per_degree must be a finite number > 0, not {ppd!r}")
     try:
-        check_blur_sigma(float(ppd) * FWHM_TO_SIGMA)  # the density map's blur
+        _check_pixels_per_degree(ppd)
     except ValueError as exc:
-        raise ManifestError(f"{path}: pixels_per_degree {ppd!r} is too large: {exc}") from None
+        raise ManifestError(f"{path}: {exc}") from None
     root = path.parent
 
     images = []
@@ -283,6 +294,10 @@ def synth_dataset(
         if name not in BASELINE_MODELS:
             raise ValueError(f"unknown baseline model: {name}")
     width, height = frame
+    # the fixation draw loops until it has points inside the frame
+    if width < 1 or height < 1:
+        raise ValueError(f"frame must be at least 1x1, not {width}x{height}")
+    _check_pixels_per_degree(pixels_per_degree)
     out_dir = Path(out_dir)
     (out_dir / "fixations").mkdir(parents=True, exist_ok=True)
     (out_dir / "maps" / "gt").mkdir(parents=True, exist_ok=True)

@@ -22,8 +22,6 @@ reaches, and the area is an int64 sum over the buckets' positive and
 negative counts, divided once. sauc and auc_f bucket their values from an
 index guess into the grid (_grid_buckets); auc_s reads its bucket counts
 from two sorts.
-roc_from_samples and auc_of_curve stay as the one-row public forms, whose
-trapezoid gives the same area to within rounding.
 
 SIM and AUC-S both count a map's values against fixed edges, so both read
 one ascending sort of it, kept with the map: SIM's histogram is the gaps
@@ -47,15 +45,11 @@ from .shuffle import ShuffleBank, TrialPlan, shuffled_draws, uniform_draws
 
 __all__ = [
     "MetricScore",
-    "RocCurve",
     "auc_f",
-    "auc_of_curve",
     "auc_pair_oracle",
     "auc_s",
     "cc",
     "nss",
-    "nss_at_points",
-    "roc_from_samples",
     "sauc",
     "sim",
     "snss",
@@ -71,15 +65,6 @@ class MetricScore:
     trials_used: int = 1
 
 
-@dataclass(frozen=True)
-class RocCurve:
-    """TPR/FPR at descending thresholds over [0, 1]."""
-
-    thresholds: np.ndarray
-    tpr: np.ndarray
-    fpr: np.ndarray
-
-
 def _check_shapes(s: PreparedMap, g: PreparedMap) -> None:
     if s.shape != g.shape:
         raise ValueError(f"map dimensions differ: {s.shape} vs {g.shape}")
@@ -89,15 +74,6 @@ def _check_frame(s: PreparedMap, fix: FixationSet) -> None:
     w, h = fix.frame
     if s.shape != (h, w):
         raise ValueError(f"map shape {s.shape} does not match fixation frame {w}x{h}")
-
-
-def _check_in_frame(s: PreparedMap, points) -> np.ndarray:
-    """The (x, y) points as an array, refused if one lies outside the map."""
-    pts = np.asarray(points)
-    h, w = s.shape
-    if pts.size and (pts.min() < 0 or (pts[:, 0] >= w).any() or (pts[:, 1] >= h).any()):
-        raise ValueError(f"points outside the {w}x{h} map")
-    return pts
 
 
 def _mean_std(s: PreparedMap, metric_id: str) -> tuple[float, float]:
@@ -176,19 +152,12 @@ def _sim_masses(ascending: np.ndarray, bins: int) -> np.ndarray:
     return np.diff(at) / ascending.size
 
 
-def nss_at_points(s, points) -> float:
-    """Mean standardized map value at the given (x, y) points, all inside the map."""
-    s = prepare(s)
-    pts = _check_in_frame(s, points)
-    mu, sd = _mean_std(s, "nss")
-    return float((values_at(s.values, pts).mean() - mu) / sd)
-
-
 def nss(s, fix: FixationSet) -> float:
-    """Normalized scanpath saliency: standardized map values at fixations."""
+    """Normalized scanpath saliency: the mean standardized map value at the fixations."""
     s = prepare(s)
     _check_frame(s, fix)
-    return nss_at_points(s, fix.points)
+    mu, sd = _mean_std(s, "nss")
+    return float((values_at(s.values, fix.points).mean() - mu) / sd)
 
 
 def _trial_samples(s, fix: FixationSet, metric_id: str, draw, normalized: bool, standardized: bool):
@@ -239,56 +208,13 @@ def _row_counts(idx: np.ndarray, k: int) -> np.ndarray:
     return counts.reshape(idx.shape[:-1] + (k,))
 
 
-def _rates(vals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Share of the values that are >= each threshold of a descending grid."""
-    levels = thresholds.size
-    first = levels - np.searchsorted(thresholds[::-1], vals, side="right")
-    count = np.cumsum(np.bincount(first, minlength=levels + 1)[:levels])
-    return 1.0 - (vals.size - count) / vals.size
-
-
-def roc_from_samples(pos_values, neg_values, levels: int = 256) -> RocCurve:
-    """ROC over a descending threshold grid on [0, 1].
-
-    A sample counts as salient when its value is >= the threshold; the
-    convention applies to positives and negatives alike, so ties contribute
-    symmetrically and all-equal inputs land on the chance diagonal.
-    """
-    pos = np.asarray(pos_values, dtype=np.float64)
-    neg = np.asarray(neg_values, dtype=np.float64)
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("need at least one positive and one negative value")
-    if min(pos.min(), neg.min()) < 0 or max(pos.max(), neg.max()) > 1:
-        raise ValueError("sample values must lie in [0, 1]")
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
-    thresholds = np.linspace(1.0, 0.0, levels)
-    tpr = _rates(pos.ravel(), thresholds)
-    fpr = _rates(neg.ravel(), thresholds)
-    return RocCurve(thresholds=thresholds, tpr=tpr, fpr=fpr)
-
-
-def auc_of_curve(curve: RocCurve) -> float:
-    """Trapezoidal area under an ROC curve, anchored at (0,0) and (1,1)."""
-    y = np.concatenate(([0.0], curve.tpr, [1.0]))
-    x = np.concatenate(([0.0], curve.fpr, [1.0]))
-    return float(np.trapezoid(y, x))
-
-
-def _ascending_grid(levels: int) -> np.ndarray:
-    """roc_from_samples' descending threshold grid, reversed into an ascending copy.
-
-    Reversed rather than rebuilt: np.linspace(0, 1, levels) differs from it
-    by an ulp at some levels, which would move values between buckets.
-    """
-    grid = np.linspace(1.0, 0.0, levels)[::-1].copy()
-    grid.setflags(write=False)
-    return grid
-
-
-# the 256-level grid sauc and auc_f bucket their values into; _GRID_NEXT[k]
-# is the level after _GRID[k], and +inf after the last
-_GRID = _ascending_grid(256)
+# the ascending 256-level threshold grid the ROC metrics bucket values
+# into: the descending np.linspace(1, 0, 256) reversed, not rebuilt, since
+# np.linspace(0, 1, 256) differs from it by an ulp at 88 levels, which would
+# move values between buckets. _GRID_NEXT[k] is the level after _GRID[k],
+# and +inf after the last.
+_GRID = np.linspace(1.0, 0.0, 256)[::-1].copy()
+_GRID.setflags(write=False)
 _GRID_NEXT = np.append(_GRID[1:], np.inf)
 
 
@@ -309,8 +235,8 @@ def _grid_auc(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
     pos and neg hold integer counts of positives and negatives per bucket,
     buckets in ascending value order, one row per ROC (they broadcast). On
     a threshold grid with the >= rule, values that reach the same thresholds
-    fall in one bucket and tie, so the trapezoidal area under the grid ROC
-    is pair counting over buckets:
+    fall in one bucket and tie, so the area under the grid ROC, its points
+    joined by straight lines, is pair counting over buckets:
     sum_b neg_b * (2 * pos_above_b + pos_b) / (2 * P * N), with pos_above_b
     the positives in higher buckets. The sums are int64 and exact, and the
     one division rounds once.
@@ -370,14 +296,13 @@ def sauc(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan) -> MetricScore
     return MetricScore(float(_sample_auc_rows(pos, neg).mean()), "sauc", plan.num_trials)
 
 
-def auc_s(s, g, levels: int = 256) -> float:
+def auc_s(s, g) -> float:
     """AUC against the density map binarized at half its standard deviation.
 
     The density map g is thresholded once at T = 0.5 * std(g); the
     prediction is swept over the threshold grid and the area under the ROC
     is the exact grid AUC (_grid_auc). Raises DegenerateInputError when the
-    binarization has no positives or no negatives, and ValueError for fewer
-    than 2 levels. The flat indices of g's positives are kept with g, so
+    binarization has no positives or no negatives. The flat indices of g's positives are kept with g, so
     scoring many maps against one prepared density map thresholds it once.
     The bucket counts are the differences between the thresholds' positions
     in two ascending sorts: s's kept sort (shared with SIM) and a sort of s
@@ -387,8 +312,6 @@ def auc_s(s, g, levels: int = 256) -> float:
     s = prepare(s)
     g = prepare(g)
     _check_shapes(s, g)
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
     if g.peak == 0:
         raise DegenerateInputError("all-zero ground truth in auc_s")
     positives = g.derived("auc_s", _positives)
@@ -399,10 +322,9 @@ def auc_s(s, g, levels: int = 256) -> float:
         raise DegenerateInputError("ground-truth binarization has no negatives in auc_s")
     if s.peak > 1.0:
         raise ValueError("auc_s expects a normalized map")
-    grid = _ascending_grid(levels)
     # values below each threshold, inside g's positives and over the whole map
-    below_hit = np.searchsorted(np.sort(np.take(s.values, positives)), grid, side="left")
-    below_all = np.searchsorted(_ascending(s), grid, side="left")
+    below_hit = np.searchsorted(np.sort(np.take(s.values, positives)), _GRID, side="left")
+    below_all = np.searchsorted(_ascending(s), _GRID, side="left")
     pos = np.diff(below_hit, prepend=0, append=n_pos)
     neg = np.diff(below_all - below_hit, prepend=0, append=s.size - n_pos)
     return float(_grid_auc(pos, neg))

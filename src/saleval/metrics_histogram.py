@@ -12,12 +12,11 @@ an array axis: the checked gather the trial metrics share
 (metrics_fixation._trial_samples) gives a candidate map's (n,) values at
 the n fixations and its (trials, n) values at the shuffled draws, one
 negative per fixation. A single bincount bins them into (trials, bins)
-masses, normalized by n, and SKLD and JSD reduce along the last axis.
-hist_at_points, symmetric_kld and jsd are the one-row case of those same
-kernels. SEMD still solves one exact transport problem per trial
-(flow.py: a cheapest-first plan made optimal by negative-cycle
-canceling). A generic-LP oracle cross-checks the transport solver on
-small instances.
+masses, normalized by n, and SKLD and JSD reduce along the last axis;
+jsd is the one-row case of the JSD kernel. SEMD still solves one exact
+transport problem per trial (flow.py: a cheapest-first plan made optimal
+by negative-cycle canceling). A generic-LP oracle cross-checks the
+transport solver on small instances.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import min_cost_transport
-from .maps import FixationSet, prepare, values_at
-from .metrics_fixation import MetricScore, _check_in_frame, _row_counts, _snss_rows, _trial_samples
+from .maps import FixationSet
+from .metrics_fixation import MetricScore, _row_counts, _snss_rows, _trial_samples
 from .shuffle import ShuffleBank, TrialPlan, shuffled_draws
 
 __all__ = [
@@ -40,12 +39,10 @@ __all__ = [
     "emd_brute_oracle",
     "emd_hat",
     "ground_distance_matrix",
-    "hist_at_points",
     "jsd",
     "semd",
     "sjsd",
     "sskld",
-    "symmetric_kld",
 ]
 
 # where SSKLD attaches the SNSS sign: to each trial, or once to the trial means
@@ -112,23 +109,6 @@ def _value_masses(vals: np.ndarray, bins: int) -> np.ndarray:
     return _row_counts(idx, bins) / vals.shape[-1]
 
 
-def hist_at_points(s, points, bins: int = 16) -> ValueHistogram:
-    """Histogram of map values at (x, y) points, mass-normalized by the count.
-
-    Bins span [0, 1] with the final bin right-closed, so a value of exactly
-    1.0 is counted. Every point must lie inside the map.
-    """
-    s = prepare(s)
-    pts = _check_in_frame(s, points)
-    if pts.size == 0:
-        raise ValueError("points must be non-empty")
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
-    if s.peak > 1.0:
-        raise ValueError("hist_at_points expects a normalized map")
-    return ValueHistogram(_value_masses(values_at(s.values, pts), bins), pts.shape[0])
-
-
 def _check_same_binning(a: ValueHistogram, b: ValueHistogram) -> None:
     if a.bins != b.bins:
         raise ValueError("histograms must share the same binning")
@@ -140,22 +120,14 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 def _skld_rows(p: np.ndarray, q: np.ndarray, epsilon: float) -> np.ndarray:
-    """Symmetric KLD between mass rows, epsilon added to every bin."""
+    """Symmetric KLD between mass rows, natural log.
+
+    epsilon is added to every bin of both rows, so empty bins neither
+    divide by zero nor take log(0).
+    """
     p = p + epsilon
     q = q + epsilon
     return 0.5 * np.sum((p - q) * np.log(p / q), axis=-1)
-
-
-def symmetric_kld(h: ValueHistogram, hhat: ValueHistogram, epsilon: float = 1e-12) -> float:
-    """Symmetrized Kullback-Leibler divergence, natural log.
-
-    epsilon is added to every bin of both histograms before the ratios, so
-    empty bins neither divide by zero nor take log(0). Non-negative, zero
-    only for identical histograms (up to the epsilon floor).
-    """
-    _check_same_binning(h, hhat)
-    _check_epsilon(epsilon)
-    return float(_skld_rows(h.mass, hhat.mass, epsilon))
 
 
 def _jsd_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:

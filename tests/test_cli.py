@@ -188,7 +188,31 @@ def test_rank_command_concordant_datasets(dataset, tmp_path):
 
 def test_validate_command(capsys):
     assert main(["validate"]) == 0
-    assert "[PASS] AUC grid kernel vs pair-counting oracle on grid levels" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "[PASS] AUC threshold grid vs pair-counting oracle",
+        "[PASS] AUC grid kernel vs pair-counting oracle on grid levels",
+        "[PASS] EMD min-cost flow vs LP oracle",
+        "[PASS] JSD vs definition unrolled",
+    ]
+
+
+@pytest.mark.parametrize("flag", [["--width", "0"], ["--height", "0"]])
+def test_synth_of_an_empty_frame_is_user_error_and_writes_nothing(tmp_path, monkeypatch, capsys, flag):
+    # the fixation draw never ends on an empty frame; fail fast if it is reached
+    monkeypatch.setattr(
+        "saleval.harness.dataset._center_biased_points", lambda *a: pytest.fail("draw started")
+    )
+    assert main(["synth", "--out", str(tmp_path / "ds"), "--images", "2", *flag]) == 1
+    assert "at least 1x1" in capsys.readouterr().err
+    assert not (tmp_path / "ds" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("ppd", ["0", "-3", "nan", "inf"])
+def test_synth_bad_ppd_is_user_error_naming_pixels_per_degree(tmp_path, capsys, ppd):
+    assert main(["synth", "--out", str(tmp_path / "ds"), "--images", "2", "--ppd", ppd]) == 1
+    assert "pixels_per_degree" in capsys.readouterr().err
+    assert not (tmp_path / "ds" / "manifest.json").exists()
 
 
 def test_missing_manifest_is_user_error(tmp_path):

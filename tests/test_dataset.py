@@ -5,7 +5,7 @@ import pytest
 
 from saleval import maps
 from saleval.errors import ManifestError
-from saleval.harness import load_manifest, synth_dataset
+from saleval.harness import dataset, load_manifest, synth_dataset
 from saleval.io import read_pgm
 from saleval.shuffle import build_shuffle_bank
 
@@ -80,6 +80,19 @@ def test_synth_rejects_bad_args(tmp_path):
         synth_dataset(tmp_path / "x", fixation_model="spiral")
     with pytest.raises(ValueError):
         synth_dataset(tmp_path / "x", models=("nonsense",))
+    for ppd in (0, -3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="pixels_per_degree"):
+            synth_dataset(tmp_path / "x", pixels_per_degree=ppd)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("frame", [(0, 12), (16, 0), (-1, -1)])
+def test_synth_refuses_a_frame_below_1x1_before_writing(tmp_path, monkeypatch, frame):
+    # the fixation draw never ends on an empty frame; fail fast if it is reached
+    monkeypatch.setattr(dataset, "_center_biased_points", lambda *a: pytest.fail("draw started"))
+    with pytest.raises(ValueError, match="at least 1x1"):
+        synth_dataset(tmp_path / "x", frame=frame)
+    assert not (tmp_path / "x").exists()
 
 
 def test_manifest_rejects_out_of_frame_fixation(tmp_path):

@@ -286,6 +286,11 @@ def test_centered_gaussian_rejects_bad_sigma():
 def test_fixation_set_validates_frame():
     with pytest.raises(ValueError):
         FixationSet("x", [[999, 0]], (100, 100))
+    # one past each edge of a 4x3 frame; at x = -1 numpy indexing would read
+    # the last column without complaint
+    for point in ([-1, 0], [0, -1], [4, 0], [0, 3]):
+        with pytest.raises(ValueError, match="outside"):
+            FixationSet("x", [[1, 1], point], (4, 3))
     with pytest.raises(ValueError):
         FixationSet("x", np.empty((0, 2), dtype=int), (10, 10))
 

@@ -15,13 +15,10 @@ from saleval.metrics_fixation import (
     _grid_buckets,
     _sample_auc_rows,
     auc_f,
-    auc_of_curve,
     auc_pair_oracle,
     auc_s,
     cc,
     nss,
-    nss_at_points,
-    roc_from_samples,
     sauc,
     sim,
     snss,
@@ -112,30 +109,33 @@ def test_nss_degenerate_raises():
 
 
 def test_roc_perfect_separation():
-    curve = roc_from_samples([1.0, 1.0], [0.0, 0.0])
-    idx = np.where(curve.tpr == 1.0)[0]
-    assert (curve.fpr[idx][:-1] == 0.0).all()
-    assert auc_of_curve(curve) == pytest.approx(1.0)
+    # every positive reaches every threshold, no negative reaches any above 0
+    assert _grid_buckets(np.array([1.0, 1.0])).tolist() == [256, 256]
+    assert _grid_buckets(np.array([0.0, 0.0])).tolist() == [1, 1]
+    assert _sample_auc_rows(np.array([1.0, 1.0]), np.array([[0.0, 0.0]])).tolist() == [1.0]
+    # and the reverse order
+    assert _sample_auc_rows(np.array([0.0, 0.0]), np.array([[1.0, 1.0]])).tolist() == [0.0]
 
 
 def test_roc_matches_brute_force_thresholds():
     pos = np.array([0.9, 0.4, 0.4, 0.2, 0.75])
     neg = np.array([0.6, 0.1, 0.4, 0.8, 0.3])
-    curve = roc_from_samples(pos, neg)
-    for t, tp, fp in zip(curve.thresholds, curve.tpr, curve.fpr):
-        assert tp == pytest.approx((pos >= t).mean())
-        assert fp == pytest.approx((neg >= t).mean())
-
-
-def test_roc_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        roc_from_samples([1.2], [0.1])
+    # a value's bucket k says it reaches the k lowest thresholds, and only those
+    thresholds = np.linspace(1.0, 0.0, 256)
+    for vals in (pos, neg):
+        reached = vals[:, None] >= thresholds[None, :]
+        np.testing.assert_array_equal(_grid_buckets(vals), reached.sum(axis=1))
+    # the kernel's area is the trapezoid under the brute-force TPR and FPR
+    tpr = (pos[:, None] >= thresholds).mean(axis=0)
+    fpr = (neg[:, None] >= thresholds).mean(axis=0)
+    area = np.trapezoid(np.r_[0.0, tpr, 1.0], np.r_[0.0, fpr, 1.0])
+    assert _sample_auc_rows(pos, neg[None])[0] == pytest.approx(area, rel=0, abs=1e-15)
 
 
 def test_auc_diagonal_and_perfect():
     t = np.linspace(1, 0, 256)
-    diag = roc_from_samples(t.clip(0, 1), t.clip(0, 1))
-    assert auc_of_curve(diag) == pytest.approx(0.5)
+    assert _sample_auc_rows(t, t[None]).tolist() == [0.5]
+    assert _sample_auc_rows(t[:128], t[None, 128:]).tolist() == [1.0]
 
 
 def test_auc_pair_oracle_basics():
@@ -150,17 +150,8 @@ def test_auc_grid_close_to_oracle():
         for _ in range(20):
             pos = rng.beta(2, 1, n)
             neg = rng.beta(1, 2, n)
-            grid = auc_of_curve(roc_from_samples(pos, neg))
+            grid = _sample_auc_rows(pos, neg[None])[0]
             assert abs(grid - auc_pair_oracle(pos, neg)) <= tol
-
-
-def test_auc_grid_refinement_stable():
-    rng = np.random.default_rng(10)
-    pos = rng.beta(3, 1.5, 128)
-    neg = rng.beta(1.5, 3, 128)
-    a256 = auc_of_curve(roc_from_samples(pos, neg, levels=256))
-    a1024 = auc_of_curve(roc_from_samples(pos, neg, levels=1024))
-    assert abs(a256 - a1024) < 0.005
 
 
 def test_auc_f_constant_map_exactly_half():
@@ -201,13 +192,6 @@ def test_auc_s_self_high_and_constant_half():
     assert auc_s(np.full_like(g, 0.3), g) == 0.5
 
 
-@pytest.mark.parametrize("levels", [0, 1])
-def test_auc_s_refuses_fewer_than_two_levels(levels):
-    _, _, _, g = _blob_setup()
-    with pytest.raises(ValueError, match="levels must be >= 2"):
-        auc_s(g, g, levels=levels)
-
-
 def test_auc_s_degenerate_gt():
     with pytest.raises(DegenerateInputError):
         auc_s(np.zeros((4, 4)), np.zeros((4, 4)))
@@ -235,8 +219,9 @@ def test_snss_antisymmetric_under_role_swap():
     fix_a, _, bank, g = _blob_setup()
     plan = TrialPlan(num_trials=8, master_seed=6)
     for sample in shuffled_negative_trials(bank, fix_a, "snss", plan):
-        fwd = nss_at_points(g, fix_a.points) - nss_at_points(g, sample)
-        rev = nss_at_points(g, sample) - nss_at_points(g, fix_a.points)
+        negatives = FixationSet("negatives", sample, fix_a.frame)
+        fwd = nss(g, fix_a) - nss(g, negatives)
+        rev = nss(g, negatives) - nss(g, fix_a)
         assert fwd == pytest.approx(-rev, abs=1e-12)
 
 
@@ -313,11 +298,14 @@ def test_roc_is_the_one_row_case_with_ties_on_the_grid(tie_case):
     s, fix, _ = tie_case
     pos = s[fix.points[:, 1], fix.points[:, 0]]
     neg = s.ravel()[::5]
-    curve = roc_from_samples(pos, neg)
-    assert auc_of_curve(curve) == pytest.approx(_grid_auc_one_trial(pos, neg), rel=0, abs=1e-12)
-    # a value exactly on a threshold counts as salient at that threshold
-    assert roc_from_samples([1.0], [0.0]).tpr[0] == 1.0
-    assert roc_from_samples([0.5], [curve.thresholds[3]]).fpr[3] == 1.0
+    expected = _grid_auc_one_trial(pos, neg)
+    assert _sample_auc_rows(pos, neg[None])[0] == pytest.approx(expected, rel=0, abs=1e-12)
+    # a value exactly on a threshold counts as salient at that threshold, so
+    # it beats a value one ulp below it, on either side of the ROC
+    for level in np.linspace(1.0, 0.0, 256)[:-1]:
+        on, below = np.array([level]), np.array([np.nextafter(level, -1.0)])
+        assert _sample_auc_rows(on, below[None])[0] == _grid_auc_one_trial(on, below) == 1.0
+        assert _sample_auc_rows(below, on[None])[0] == _grid_auc_one_trial(below, on) == 0.0
 
 
 def _floor_to_grid(values):
@@ -379,14 +367,6 @@ def test_grid_buckets_are_searchsorted_on_the_grid():
     # the (trials, n) shape the trial metrics pass
     rows = vals[:200_000].reshape(400, 500)
     np.testing.assert_array_equal(_grid_buckets(rows), expected[:200_000].reshape(400, 500))
-
-
-@pytest.mark.parametrize("point", [[-1, 0], [0, -1], [4, 0], [0, 3]])
-def test_nss_at_points_refuses_points_outside_the_map(point):
-    # at x = -1 numpy indexing would read the last column without complaint
-    s = np.random.default_rng(3).random((3, 4))
-    with pytest.raises(ValueError, match="outside"):
-        nss_at_points(s, [[1, 1], point])
 
 
 # shapes for the numpy-form checks: odd sizes, single rows and columns,

@@ -3,18 +3,18 @@ import pytest
 from scipy.stats import entropy
 
 from saleval.errors import DegenerateInputError
-from saleval.maps import FixationSet, density_from_fixations, invert_map
+from saleval.maps import FixationSet, density_from_fixations, invert_map, values_at
 from saleval.metrics_histogram import (
     GroundDistanceSpec,
     ValueHistogram,
+    _skld_rows,
+    _value_masses,
     emd_brute_oracle,
     emd_hat,
-    hist_at_points,
     jsd,
     semd,
     sjsd,
     sskld,
-    symmetric_kld,
 )
 from saleval.shuffle import TrialPlan, build_shuffle_bank, shuffled_negative_trials
 
@@ -34,29 +34,29 @@ def _blob_setup(seed=0):
 
 
 def test_hist_all_ones_land_in_last_bin():
-    s = np.ones((3, 3))
-    h = hist_at_points(s, [[0, 0], [1, 1], [2, 2]], bins=4)
-    assert h.mass.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert _value_masses(np.ones(3), 4).tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 def test_hist_two_values_two_bins():
-    s = np.array([[0.1, 0.9]])
-    h = hist_at_points(s, [[0, 0], [1, 0]], bins=2)
-    assert h.mass.tolist() == [0.5, 0.5]
+    assert _value_masses(np.array([0.1, 0.9]), 2).tolist() == [0.5, 0.5]
 
 
 def test_hist_mass_sums_to_one():
     rng = np.random.default_rng(6)
     s = rng.random((16, 16))
     pts = np.column_stack([rng.integers(0, 16, 100), rng.integers(0, 16, 100)])
-    h = hist_at_points(s, pts, bins=16)
-    assert h.mass.sum() == pytest.approx(1.0, abs=1e-12)
-    assert h.normalizer == 100
+    mass = _value_masses(values_at(s, pts), 16)
+    assert mass.sum() == pytest.approx(1.0, abs=1e-12)
+    # normalized by the point count: each bin holds a whole number of the 100 points
+    counts = np.rint(mass * 100)
+    np.testing.assert_allclose(mass * 100, counts, rtol=0, atol=1e-9)
+    assert counts.sum() == 100
 
 
 def test_hist_rejects_empty_points():
-    with pytest.raises(ValueError):
-        hist_at_points(np.ones((2, 2)), np.empty((0, 2), int))
+    # the shuffled histograms bin the values at a FixationSet, which refuses no points
+    with pytest.raises(ValueError, match="non-empty"):
+        FixationSet("a", np.empty((0, 2), int), (2, 2))
 
 
 def test_value_histogram_validation():
@@ -76,35 +76,39 @@ def test_value_histogram_validation():
 
 
 def test_symmetric_kld_identical_zero():
-    h = _hist([0.25, 0.25, 0.5])
-    assert symmetric_kld(h, h) == 0.0
+    h = np.array([0.25, 0.25, 0.5])
+    assert _skld_rows(h, h, 1e-12) == 0.0
+    # row by row: each identical pair of rows scores 0
+    rows = np.random.default_rng(7).random((5, 8))
+    assert _skld_rows(rows, rows, 1e-12).tolist() == [0.0] * 5
 
 
 def test_symmetric_kld_symmetric():
-    a = _hist([0.7, 0.2, 0.1])
-    b = _hist([0.1, 0.3, 0.6])
-    assert symmetric_kld(a, b) == pytest.approx(symmetric_kld(b, a), abs=1e-12)
+    a = np.array([0.7, 0.2, 0.1])
+    b = np.array([0.1, 0.3, 0.6])
+    assert _skld_rows(a, b, 1e-12) == pytest.approx(_skld_rows(b, a, 1e-12), abs=1e-12)
 
 
 def test_symmetric_kld_two_bin_closed_form():
     eps = 1e-12
-    got = symmetric_kld(_hist([1.0, 0.0]), _hist([0.0, 1.0]), eps)
+    got = _skld_rows(np.array([1.0, 0.0]), np.array([0.0, 1.0]), eps)
     expected = (1 + eps) * np.log((1 + eps) / eps) + eps * np.log(eps / (1 + eps))
     assert got == pytest.approx(expected, abs=1e-9)
 
 
 def test_symmetric_kld_nonnegative_random():
     rng = np.random.default_rng(8)
-    for _ in range(100):
-        a = _hist(rng.random(8))
-        b = _hist(rng.random(8))
-        assert symmetric_kld(a, b) >= 0
+    a = rng.random((100, 8))
+    b = rng.random((100, 8))
+    assert (_skld_rows(a, b, 1e-12) >= 0).all()
+    # one row against many, as SSKLD scores the fixations against every trial
+    assert (_skld_rows(a[0], b, 1e-12) >= 0).all()
 
 
 @pytest.mark.parametrize(
     "measure",
-    [symmetric_kld, jsd, lambda a, b: emd_hat(a, b, GroundDistanceSpec())],
-    ids=["symmetric_kld", "jsd", "emd_hat"],
+    [jsd, lambda a, b: emd_hat(a, b, GroundDistanceSpec())],
+    ids=["jsd", "emd_hat"],
 )
 def test_binning_mismatch_is_refused(measure):
     with pytest.raises(ValueError, match="same binning"):
@@ -250,8 +254,6 @@ def test_sskld_refuses_a_bad_epsilon(epsilon):
     plan = TrialPlan(num_trials=3, master_seed=2)
     with pytest.raises(ValueError, match="epsilon"):
         sskld(g, fix, bank, plan, epsilon=epsilon)
-    with pytest.raises(ValueError, match="epsilon"):
-        symmetric_kld(_hist([0.5, 0.5]), _hist([0.25, 0.75]), epsilon)
 
 
 def test_sjsd_zero_when_distributions_match():
@@ -349,16 +351,13 @@ def test_batched_trials_match_a_loop_over_trials(sized_tie_case, trial_rows, cou
 
 def test_hist_is_the_one_row_case_with_values_on_edges(tie_case):
     s, fix, _ = tie_case
-    h = hist_at_points(s, fix.points, bins=16)
     vals = s[fix.points[:, 1], fix.points[:, 0]]
-    np.testing.assert_array_equal(h.mass, _one_trial_masses(vals, 16, len(fix)))
+    np.testing.assert_array_equal(_value_masses(vals, 16), _one_trial_masses(vals, 16, len(fix)))
     # a value exactly on an inner edge opens the next bin; 1.0 closes the last
-    edge = hist_at_points(np.array([[0.25, 1.0]]), [[0, 0], [1, 0]], bins=4)
-    assert edge.mass.tolist() == [0.0, 0.5, 0.0, 0.5]
-
-
-@pytest.mark.parametrize("point", [[-1, 0], [0, -1], [4, 0], [0, 3]])
-def test_hist_at_points_refuses_points_outside_the_map(point):
-    s = np.random.default_rng(3).random((3, 4))
-    with pytest.raises(ValueError, match="outside"):
-        hist_at_points(s, [[1, 1], point])
+    assert _value_masses(np.array([0.25, 1.0]), 4).tolist() == [0.0, 0.5, 0.0, 0.5]
+    # every inner edge of every binning, each row binned on its own
+    for bins in (2, 8, 16):
+        edges = np.arange(bins + 1) / bins
+        rows = np.stack([edges, edges[::-1]])
+        expected = _one_trial_masses(edges, bins, bins + 1)
+        np.testing.assert_array_equal(_value_masses(rows, bins), [expected, expected])

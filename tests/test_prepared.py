@@ -12,12 +12,11 @@ from saleval.metrics_fixation import (
     auc_s,
     cc,
     nss,
-    nss_at_points,
     sauc,
     sim,
     snss,
 )
-from saleval.metrics_histogram import hist_at_points, semd, sjsd, sskld
+from saleval.metrics_histogram import semd, sjsd, sskld
 from saleval.shuffle import TrialPlan
 
 PLAN = TrialPlan(num_trials=6, master_seed=3)
@@ -29,8 +28,6 @@ SCORERS = {
     "sim_16_bins": lambda s, g, fix, bank: sim(s, g, bins=16),
     "auc_s": lambda s, g, fix, bank: auc_s(s, g),
     "nss": lambda s, g, fix, bank: nss(s, fix),
-    "nss_at_points": lambda s, g, fix, bank: nss_at_points(s, fix.points[::2]),
-    "hist_at_points": lambda s, g, fix, bank: hist_at_points(s, fix.points).mass,
     "auc_f": lambda s, g, fix, bank: auc_f(s, fix, PLAN),
     "sauc": lambda s, g, fix, bank: sauc(s, fix, bank, PLAN),
     "snss": lambda s, g, fix, bank: snss(s, fix, bank, PLAN),
