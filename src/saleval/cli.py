@@ -32,6 +32,7 @@ from .harness import (
     read_records,
     synth_dataset,
 )
+from .harness.dataset import STRATIFY_MODES
 from .harness.report import write_rows
 from .harness.stats import GROUP_KEYS, spread_tables
 from .metrics_histogram import SIGN_MODES
@@ -144,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="gt_copy,center_gauss",
         help="comma-separated baseline model maps to emit",
     )
-    sy.add_argument("--stratify", choices=("none", "distortions", "complexity"), default="none")
+    sy.add_argument("--stratify", choices=STRATIFY_MODES, default="none")
 
     sub.add_parser("validate", help="run the built-in oracle suites")
     return parser

@@ -235,7 +235,11 @@ def _off_center_points(rng, n, width, height):
     return pts
 
 
+STRATIFY_MODES = ("none", "distortions", "complexity")
+
+
 def _stratum_tags(stratify: str, index: int) -> tuple[str, str, str]:
+    # stratify is one of STRATIFY_MODES, checked before anything is written
     if stratify == "none":
         return "none", "none", "unspecified"
     levels = ("low", "medium", "high")
@@ -243,11 +247,9 @@ def _stratum_tags(stratify: str, index: int) -> tuple[str, str, str]:
         types = ("blur", "jpeg", "noise")
         cell = index % 9
         return types[cell // 3], levels[cell % 3], "unspecified"
-    if stratify == "complexity":
-        complexities = ("easy", "medium", "hard")
-        cell = index % 9
-        return "blur", levels[cell % 3], complexities[cell // 3]
-    raise ValueError(f"unknown stratify mode: {stratify}")
+    complexities = ("easy", "medium", "hard")
+    cell = index % 9
+    return "blur", levels[cell % 3], complexities[cell // 3]
 
 
 BASELINE_MODELS = ("gt_copy", "center_gauss", "inverted_gt", "gt_noisy", "gt_blurred")
@@ -297,6 +299,10 @@ def synth_dataset(
     # the fixation draw loops until it has points inside the frame
     if width < 1 or height < 1:
         raise ValueError(f"frame must be at least 1x1, not {width}x{height}")
+    if fixations_per_image < 1:
+        raise ValueError(f"fixations_per_image must be >= 1, not {fixations_per_image}")
+    if stratify not in STRATIFY_MODES:
+        raise ValueError(f"unknown stratify mode: {stratify}")
     _check_pixels_per_degree(pixels_per_degree)
     out_dir = Path(out_dir)
     (out_dir / "fixations").mkdir(parents=True, exist_ok=True)

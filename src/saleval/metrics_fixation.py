@@ -26,15 +26,16 @@ from two sorts.
 SIM and AUC-S both count a map's values against fixed edges, so both read
 one ascending sort of it, kept with the map: SIM's histogram is the gaps
 between the bin edges' positions in that sort, AUC-S's bucket counts the
-gaps between the thresholds' positions in it. CC computes np.corrcoef's
-steps itself, from the maps' kept means, so neither map is copied and
-centred twice. SIM and CC give the same bits as np.histogram and
-np.corrcoef.
+gaps between the thresholds' positions in it. SIM gives the same bits as
+np.histogram. CC keeps the density map's centred values and their sum of
+squares with it, so scoring many maps against one prepared density map
+centres it once; each candidate costs one subtract and two dot products.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,39 +77,68 @@ def _check_frame(s: PreparedMap, fix: FixationSet) -> None:
         raise ValueError(f"map shape {s.shape} does not match fixation frame {w}x{h}")
 
 
+# the smallest normal float64: a square below it has lost digits to underflow
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def _check_square(square: float, what: str, metric_id: str) -> None:
+    """Refuse a variance-like square outside float64's normal range."""
+    if square < _TINY:
+        raise DegenerateInputError(f"{what} underflows float64 in {metric_id}")
+    if not math.isfinite(square):
+        raise DegenerateInputError(f"{what} overflows float64 in {metric_id}")
+
+
 def _mean_std(s: PreparedMap, metric_id: str) -> tuple[float, float]:
     # constancy checked on the value range: std() of a constant array can
     # come out as ~1e-17 instead of 0
     if s.peak == s.floor:
         raise DegenerateInputError(f"zero-variance map in {metric_id}")
-    return s.mean, s.std
+    sd = s.std
+    _check_square(sd * sd, "map variance", metric_id)
+    return s.mean, sd
 
 
 def cc(s, g) -> float:
     """Pearson correlation between a predicted map and a density map.
 
     Invariant under positive affine transforms of either map. Raises
-    DegenerateInputError when either map has zero variance; callers report
-    a missing score rather than a fake 0. The arithmetic is np.corrcoef's,
-    step by step (centre both maps on their means in one (2, N) buffer,
-    X @ X.T, scale by 1 / (N - 1), divide by the diagonal's square roots on
-    both axes), with the kept means in place of its row means, which are
-    the same sums; the result is bit-identical.
+    DegenerateInputError when either map is constant or its variance
+    leaves float64's normal range, or when the squared denominator does;
+    callers report a missing score rather than a fake value. g's centred
+    values gc and their sum of squares gg are kept with g, so scoring many
+    maps against one prepared density map centres it once. s is centred on
+    its kept mean, and the score is sc.gc / sqrt(sc.sc * gg), clipped to
+    [-1, 1], with each dot product taken row by row (_dot).
     """
     s = prepare(s)
     g = prepare(g)
     _check_shapes(s, g)
     mu_s, _ = _mean_std(s, "cc")
-    mu_g, _ = _mean_std(g, "cc")
-    x = np.empty((2, s.size))
-    np.subtract(s.values.ravel(), mu_s, out=x[0])
-    np.subtract(g.values.ravel(), mu_g, out=x[1])
-    c = np.dot(x, x.T)
-    c *= np.true_divide(1, s.size - 1)
-    sd = np.sqrt(np.diag(c))
-    c /= sd[:, None]
-    c /= sd[None, :]
-    return float(np.clip(c[0, 1], -1.0, 1.0))
+    _mean_std(g, "cc")
+    gc, gg = g.derived("cc", _centred)
+    sc = s.values - mu_s
+    denom_sq = _dot(sc, sc) * gg
+    _check_square(denom_sq, "denominator", "cc")
+    return min(max(_dot(sc, gc) / math.sqrt(denom_sq), -1.0), 1.0)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of two maps: one BLAS dot per row, the row sums summed pairwise.
+
+    On 768x512 density maps and their candidates, one np.dot over the
+    raveled maps strayed up to 1.8e-13 from the exact value, and its
+    rounding changed with the BLAS thread count; row by row it stayed
+    within 1.1e-16 and gave the same bits at one and two threads.
+    """
+    return float(np.vecdot(a, b).sum())
+
+
+def _centred(g: PreparedMap) -> tuple[np.ndarray, float]:
+    """cc's data kept with g: its values less their mean, read-only, and their sum of squares."""
+    gc = g.values - g.mean
+    gc.setflags(write=False)
+    return gc, _dot(gc, gc)
 
 
 def sim(s, g, bins: int = 256) -> float:
@@ -165,9 +195,10 @@ def _trial_samples(s, fix: FixationSet, metric_id: str, draw, normalized: bool, 
 
     Prepares the map and checks it against the fixations' frame. When
     normalized, a peak above 1 raises ValueError; when standardized, a
-    zero-variance map raises DegenerateInputError, and stats is the map's
-    (mean, std), else None. Only after every check does it call draw() for
-    the (T, n, 2) negative points, so a refused map derives no trial seeds.
+    constant map or one whose variance leaves float64's normal range
+    raises DegenerateInputError, and stats is the map's (mean, std), else
+    None. Only after every check does it call draw() for the (T, n, 2)
+    negative points, so a refused map derives no trial seeds.
     Returns the (n,) values at the fixations and the (T, n) values at the
     negatives, one row per trial.
     """

@@ -208,6 +208,12 @@ def test_synth_of_an_empty_frame_is_user_error_and_writes_nothing(tmp_path, monk
     assert not (tmp_path / "ds" / "manifest.json").exists()
 
 
+def test_synth_with_no_fixations_is_user_error_and_writes_nothing(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "f0"), "--fixations", "0", "--images", "2"]) == 1
+    assert "fixations_per_image must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "f0").exists()
+
+
 @pytest.mark.parametrize("ppd", ["0", "-3", "nan", "inf"])
 def test_synth_bad_ppd_is_user_error_naming_pixels_per_degree(tmp_path, capsys, ppd):
     assert main(["synth", "--out", str(tmp_path / "ds"), "--images", "2", "--ppd", ppd]) == 1

@@ -95,6 +95,20 @@ def test_synth_refuses_a_frame_below_1x1_before_writing(tmp_path, monkeypatch, f
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"fixations_per_image": 0}, "fixations_per_image must be >= 1"),
+        ({"fixations_per_image": -3}, "fixations_per_image must be >= 1"),
+        ({"stratify": "bogus"}, "unknown stratify mode"),
+    ],
+)
+def test_synth_refuses_no_fixations_or_an_unknown_stratify_before_writing(tmp_path, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        synth_dataset(tmp_path / "x", num_images=2, frame=(16, 12), **kwargs)
+    assert not (tmp_path / "x").exists()
+
+
 def test_manifest_rejects_out_of_frame_fixation(tmp_path):
     path = synth_dataset(tmp_path / "ds", num_images=2, frame=(16, 12), seed=5,
                          fixations_per_image=4)

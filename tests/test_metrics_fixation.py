@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from saleval.metrics_fixation import (
     sim,
     snss,
 )
+from saleval.metrics_histogram import sskld
 from saleval.shuffle import (
     TrialPlan,
     build_shuffle_bank,
@@ -60,6 +62,68 @@ def test_cc_affine_invariant():
 def test_cc_degenerate_raises():
     with pytest.raises(DegenerateInputError):
         cc(np.full((4, 4), 0.5), np.random.default_rng(0).random((4, 4)))
+
+
+def _float64_edge_setup():
+    """A 16x12 two-image bank, a trial plan and a density-like map for the float64-range tests."""
+    rng = np.random.default_rng(3)
+    frame = (16, 12)
+    sets = [
+        FixationSet(name, np.column_stack((rng.integers(0, 16, 6), rng.integers(0, 12, 6))), frame)
+        for name in "ab"
+    ]
+    plan = TrialPlan(num_trials=4, master_seed=1)
+    return sets[0], build_shuffle_bank(sets, frame), plan, rng.random((12, 16))
+
+
+def test_a_map_whose_variance_underflows_is_degenerate():
+    # the centred squares underflow to 0: cc read 1.0 (inf clipped), nss inf
+    s = np.array([[1e-170, 2e-170, 0.0, 1e-170]])
+    with pytest.raises(DegenerateInputError, match="map variance underflows float64 in cc"):
+        cc(s, np.array([[0.1, 0.9, 0.5, 0.2]]))
+    with pytest.raises(DegenerateInputError, match="map variance underflows float64 in nss"):
+        nss(s, FixationSet("a", np.array([[1, 0]]), (4, 1)))
+    fix, bank, plan, g = _float64_edge_setup()
+    tiny = np.random.default_rng(5).random((12, 16)) * 1e-170
+    with pytest.raises(DegenerateInputError, match="underflows float64 in cc"):
+        cc(tiny, g)
+    with pytest.raises(DegenerateInputError, match="underflows float64 in nss"):
+        nss(tiny, fix)
+    with pytest.raises(DegenerateInputError, match="underflows float64 in snss"):
+        snss(tiny, fix, bank, plan)
+    with pytest.raises(DegenerateInputError, match="underflows float64 in sskld"):
+        sskld(tiny, fix, bank, plan)
+
+
+def test_a_map_whose_variance_overflows_is_degenerate():
+    # the centred squares overflow to inf: cc and nss read -0.0, where the
+    # true NSS at the 0-valued fixation is -1
+    s = np.array([[1e200, 0.0, 1e200, 0.0]])
+    with pytest.raises(DegenerateInputError, match="map variance overflows float64 in cc"):
+        cc(s, np.array([[0.1, 0.9, 0.5, 0.2]]))
+    with pytest.raises(DegenerateInputError, match="map variance overflows float64 in nss"):
+        nss(s, FixationSet("a", np.array([[1, 0]]), (4, 1)))
+    fix, bank, plan, g = _float64_edge_setup()
+    huge = np.where(np.indices((12, 16)).sum(axis=0) % 2, 1e200, 0.0)
+    with pytest.raises(DegenerateInputError, match="overflows float64 in cc"):
+        cc(huge, g)
+    with pytest.raises(DegenerateInputError, match="overflows float64 in nss"):
+        nss(huge, fix)
+    with pytest.raises(DegenerateInputError, match="overflows float64 in snss"):
+        snss(huge, fix, bank, plan)
+    # sskld refuses the unnormalized map before it reads the variance
+    with pytest.raises(ValueError, match="sskld expects a normalized map"):
+        sskld(huge, fix, bank, plan)
+
+
+def test_cc_refuses_a_denominator_that_leaves_float64():
+    # each map's variance is a normal float64, their product is not: at
+    # 1e-80 it is subnormal, and cc read 0.3262622 for 0.3262577
+    rng = np.random.default_rng(6)
+    s, g = rng.random((6, 5)), rng.random((6, 5))
+    for scale, cause in ((1e-80, "underflows"), (1e90, "overflows")):
+        with pytest.raises(DegenerateInputError, match=f"denominator {cause} float64 in cc"):
+            cc(s * scale, g * scale)
 
 
 def test_cc_shape_mismatch():
@@ -382,17 +446,58 @@ def _random_pair(rng, shape):
     return s / s.max(), g / g.max()
 
 
+def _float_ints(a):
+    """a's values as integers over one common power-of-two denominator, exactly."""
+    fractions = [Fraction(v) for v in a.ravel().tolist()]
+    d = max(f.denominator for f in fractions)
+    return [f.numerator * (d // f.denominator) for f in fractions]
+
+
+def _pearson_oracle(x, y):
+    """Pearson's r of two arrays in exact integer arithmetic, rounded once to float.
+
+    r = (n Sxy - Sx Sy) / sqrt((n Sxx - Sx^2) (n Syy - Sy^2)) over the
+    scaled integers; the square root is an integer square root 2^200 times
+    finer than the result, so only the final conversion rounds.
+    """
+    xs, ys = _float_ints(x), _float_ints(y)
+    n, sx, sy = len(xs), sum(xs), sum(ys)
+    num = n * sum(a * b for a, b in zip(xs, ys)) - sx * sy
+    vx = n * sum(a * a for a in xs) - sx * sx
+    vy = n * sum(b * b for b in ys) - sy * sy
+    return float(Fraction(num << 200, math.isqrt((vx * vy) << 400)))
+
+
+# cc lies in [-1, 1] and the random pairs correlate weakly, so its rounding
+# error is bounded against 1, not against the exact value: cc came within
+# 0.5 ulp of 1 on these pairs, np.corrcoef within 1 ulp
+CC_ORACLE_TOL = 2 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("shape", NUMPY_FORM_SHAPES)
-def test_cc_is_the_clipped_corrcoef_bit_for_bit(shape):
+def test_cc_is_exact_pearson_to_a_few_ulps_and_matches_corrcoef(shape):
     rng = np.random.default_rng(shape[0] * 7919 + shape[1])
     for _ in range(10):
         s, g = _random_pair(rng, shape)
-        expected = float(np.clip(np.corrcoef(s.ravel(), g.ravel())[0, 1], -1.0, 1.0))
-        assert cc(s, g) == expected
-        # a read-only Fortran-ordered map owns its data but ravels in another order
-        f = np.asfortranarray(s)
-        f.setflags(write=False)
-        assert cc(f, g) == expected
+        got = cc(s, g)
+        assert abs(got - _pearson_oracle(s, g)) <= CC_ORACLE_TOL
+        assert abs(got - np.clip(np.corrcoef(s.ravel(), g.ravel())[0, 1], -1.0, 1.0)) <= 1e-14
+        # a read-only Fortran-ordered map owns its data but ravels in another
+        # order; prepared in C order, it scores the same bits as its C copy
+        fs, fg = np.asfortranarray(s), np.asfortranarray(g)
+        fs.setflags(write=False)
+        fg.setflags(write=False)
+        assert cc(fs, g) == got
+        assert cc(s, fg) == got
+
+
+def test_cc_of_an_affine_pair_is_clipped_to_one():
+    # unclipped, about half of these pairs read 1 + 2.2e-16 or -1 - 2.2e-16
+    for seed in range(40):
+        g = np.random.default_rng(seed).random((5, 7))
+        up, down = cc(0.3 * g + 0.1, g), cc(1.0 - 0.7 * g, g)
+        assert 1.0 - CC_ORACLE_TOL <= up <= 1.0
+        assert -1.0 <= down <= -1.0 + CC_ORACLE_TOL
 
 
 def _histogram_masses(m, bins):

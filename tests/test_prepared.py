@@ -1,10 +1,12 @@
 """Prepared maps: the same scores as plain arrays, and statistics that cannot go stale."""
 
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 
+from saleval import metrics_fixation
 from saleval.errors import DegenerateInputError
 from saleval.maps import PreparedMap, density_from_fixations, prepare
 from saleval.metrics_fixation import (
@@ -190,3 +192,30 @@ def test_std_from_the_kept_mean_is_numpys_std_bit_for_bit(shape):
     for source in sources:
         p = prepare(source)
         assert p.std == float(p.values.std())
+
+
+def test_cc_centres_a_prepared_density_map_once_and_frees_it_with_the_map(monkeypatch):
+    rng = np.random.default_rng(9)
+    g = rng.random((12, 16))
+    candidates = [rng.random((12, 16)) for _ in range(4)]
+    calls = []
+    kept = []  # one flag per kept centring, cleared when it is freed
+
+    def counted(m):
+        calls.append(m.size)
+        out = centred(m)
+        kept.append(True)
+        weakref.finalize(out[0], kept.__setitem__, len(kept) - 1, False)
+        return out
+
+    centred = metrics_fixation._centred
+    monkeypatch.setattr(metrics_fixation, "_centred", counted)
+    pg = prepare(g)
+    prepared_scores = [cc(s, pg) for s in candidates]
+    assert len(calls) == 1
+    # a raw g is prepared, and centred, afresh on every call, to the same bits
+    assert [cc(s, g) for s in candidates] == prepared_scores
+    assert len(calls) == 1 + len(candidates)
+    assert kept == [True, False, False, False, False]
+    del pg
+    assert kept == [False] * 5
