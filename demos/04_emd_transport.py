@@ -8,30 +8,28 @@ distance, then charges the leftover mass |sum(H1) - sum(H2)| times the
 saturation. The transport itself is solved exactly by min-cost flow; a
 generic linear program cross-checks it.
 
-A ValueHistogram is just its bin masses (plus the sample count they were
-normalized by): the bins are always equal-width bins of [0, 1], so six
-masses mean six bins of width 1/6.
+A histogram is just a 1-D array of its bin masses: the bins are always
+equal-width bins of [0, 1], so six masses mean six bins of width 1/6.
+The ground distance is min(|i - j|, saturation), set by one integer.
 """
 
 import numpy as np
 
-from saleval import GroundDistanceSpec, ValueHistogram, emd_brute_oracle, emd_hat, min_cost_transport
+from saleval import emd_brute_oracle, emd_hat, min_cost_transport
 
 # Two simple six-bin histograms: all mass low vs all mass high.
-low = ValueHistogram(np.array([0.7, 0.3, 0.0, 0.0, 0.0, 0.0]), 1)
-high = ValueHistogram(np.array([0.0, 0.0, 0.0, 0.0, 0.4, 0.6]), 1)
+low = np.array([0.7, 0.3, 0.0, 0.0, 0.0, 0.0])
+high = np.array([0.0, 0.0, 0.0, 0.0, 0.4, 0.6])
 
 for sat in (1, 3, 10):
-    spec = GroundDistanceSpec(saturation=sat)
-    print(f"saturation {sat:2d}: emd = {emd_hat(low, high, spec):.4f}")
+    print(f"saturation {sat:2d}: emd = {emd_hat(low, high, sat):.4f}")
 print("Saturation caps how much any single move can cost, so far-apart mass")
 print("stops dominating once the cap binds.\n")
 
 # Unequal masses: the mismatch penalty appears.
-heavy = ValueHistogram(np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 1)
-light = ValueHistogram(np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]), 1)
-spec = GroundDistanceSpec(saturation=3)
-print(f"masses 2 vs 1, saturation 3: emd = {emd_hat(heavy, light, spec):.4f}")
+heavy = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+light = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+print(f"masses 2 vs 1, saturation 3: emd = {emd_hat(heavy, light, 3):.4f}")
 print("  = 1 unit moved one bin (cost 1) + |2 - 1| * 3 penalty = 4\n")
 
 # The underlying transport plan is inspectable.
@@ -47,7 +45,7 @@ print(f"  total cost {sol.cost:.2f}\n")
 rng = np.random.default_rng(0)
 worst = 0.0
 for _ in range(200):
-    h1 = ValueHistogram(rng.random(6) * 3, 1)
-    h2 = ValueHistogram(rng.random(6) * 3, 1)
-    worst = max(worst, abs(emd_hat(h1, h2, spec) - emd_brute_oracle(h1, h2, spec)))
+    h1 = rng.random(6) * 3
+    h2 = rng.random(6) * 3
+    worst = max(worst, abs(emd_hat(h1, h2, 3) - emd_brute_oracle(h1, h2, 3)))
 print(f"max |min-cost-flow - LP oracle| over 200 random pairs: {worst:.2e}")

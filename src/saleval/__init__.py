@@ -62,8 +62,6 @@ from .metrics_fixation import (
     snss,
 )
 from .metrics_histogram import (
-    GroundDistanceSpec,
-    ValueHistogram,
     emd_brute_oracle,
     emd_hat,
     jsd,

@@ -248,13 +248,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_validate(_args) -> int:
     from .metrics_fixation import _sample_auc_rows, auc_pair_oracle
-    from .metrics_histogram import (
-        GroundDistanceSpec,
-        ValueHistogram,
-        emd_brute_oracle,
-        emd_hat,
-        jsd,
-    )
+    from .metrics_histogram import emd_brute_oracle, emd_hat, jsd
 
     rng = np.random.default_rng(20240501)
     ok = True
@@ -287,10 +281,10 @@ def _cmd_validate(_args) -> int:
     worst = 0.0
     for _ in range(200):
         bins = int(rng.integers(2, 9))
-        h1 = ValueHistogram(rng.random(bins) * rng.integers(1, 5), 1)
-        h2 = ValueHistogram(rng.random(bins) * rng.integers(1, 5), 1)
-        spec = GroundDistanceSpec(saturation=int(rng.integers(1, 8)))
-        worst = max(worst, abs(emd_hat(h1, h2, spec) - emd_brute_oracle(h1, h2, spec)))
+        a = rng.random(bins) * rng.integers(1, 5)
+        b = rng.random(bins) * rng.integers(1, 5)
+        sat = int(rng.integers(1, 8))
+        worst = max(worst, abs(emd_hat(a, b, sat) - emd_brute_oracle(a, b, sat)))
     ok &= worst <= 1e-9
     print(f"[{'PASS' if worst <= 1e-9 else 'FAIL'}] EMD min-cost flow vs LP oracle")
 
@@ -300,7 +294,7 @@ def _cmd_validate(_args) -> int:
     for _ in range(200):
         p = rng.random(8)
         q = rng.random(8)
-        got = jsd(ValueHistogram(p, 1), ValueHistogram(q, 1))
+        got = jsd(p, q)
         pn, qn = p / p.sum(), q / q.sum()
         m = 0.5 * (pn + qn)
         ref = 0.5 * (entropy(pn, m, base=2) + entropy(qn, m, base=2))

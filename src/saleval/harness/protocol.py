@@ -23,8 +23,8 @@ from typing import Callable, NamedTuple
 from ..errors import DegenerateInputError
 from ..maps import (
     FixationSet,
-    PreparedMap,
     _convolve1d,
+    _frozen,
     check_blur_sigma,
     density_from_fixations,
     gaussian_blur,
@@ -33,7 +33,7 @@ from ..maps import (
     resize_map,
 )
 from ..metrics_fixation import auc_f, auc_s, cc, nss, sauc, sim, snss
-from ..metrics_histogram import SIGN_MODES, GroundDistanceSpec, semd, sjsd, sskld
+from ..metrics_histogram import _check_epsilon, _check_sign_mode, semd, sjsd, sskld
 from ..shuffle import ShuffleBank, TrialPlan, _integer, build_shuffle_bank
 from .dataset import DatasetManifest, ImageEntry
 
@@ -67,9 +67,7 @@ _METRICS = {
     "sjsd": _Metric(False, lambda m, fix, g, bank, plan, c: sjsd(m, fix, bank, plan, c.bins).value),
     "semd": _Metric(
         False,
-        lambda m, fix, g, bank, plan, c: semd(
-            m, fix, bank, plan, c.bins, GroundDistanceSpec(saturation=c.emd_saturation)
-        ).value,
+        lambda m, fix, g, bank, plan, c: semd(m, fix, bank, plan, c.bins, c.emd_saturation).value,
     ),
     "cc": _Metric(True, lambda m, fix, g, bank, plan, c: cc(m, g)),
     "sim": _Metric(True, lambda m, fix, g, bank, plan, c: sim(m, g)),
@@ -118,13 +116,11 @@ class EvalConfig:
     def __post_init__(self):
         for name, least in (("trials", 1), ("bins", 2), ("emd_saturation", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be finite and > 0, not {self.epsilon!r}")
+        _check_epsilon(self.epsilon)
         for m in self.metrics:
             if m not in ALL_METRICS:
                 raise ValueError(f"unknown metric: {m}")
-        if self.sign_mode not in SIGN_MODES:
-            raise ValueError(f"sign_mode must be one of {SIGN_MODES}")
+        _check_sign_mode(self.sign_mode)
         _blur_levels(self.blur_sweep)
 
 
@@ -179,12 +175,6 @@ def optimal_blur_search(s, scorer, sweep) -> tuple[float | None, float | None]:
     return best
 
 
-def _prepared_in_place(m) -> PreparedMap:
-    """m prepared without a copy or a check, for a valid map that nothing else references."""
-    m.setflags(write=False)
-    return PreparedMap(m)
-
-
 def evaluate_pair(
     s_raw,
     image: ImageEntry,
@@ -215,9 +205,9 @@ def evaluate_pair(
     if g is not None:
         g = prepare(g)
     # a normalized map and its blurs are valid by construction: checked once, by resize_map
-    s0 = _prepared_in_place(normalize_map(resize_map(s_raw, image.width, image.height)))
+    s0 = _frozen(normalize_map(resize_map(s_raw, image.width, image.height)))
     candidates = (
-        (sigma, _prepared_in_place(gaussian_blur(s0, sigma)))
+        (sigma, _frozen(gaussian_blur(s0, sigma)))
         for sigma in _blur_levels(config.blur_sweep)
     )
     scorers = [
@@ -260,7 +250,7 @@ def _evaluate_image(unit) -> list[EvaluationRecord]:
 
     g = None
     if any(_METRICS[m].needs_g for m in config.metrics):
-        g = _prepared_in_place(density_from_fixations(fix, fwhm_px))
+        g = _frozen(density_from_fixations(fix, fwhm_px))
     return [
         rec
         for model_id, map_path in models

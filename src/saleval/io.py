@@ -17,7 +17,7 @@ from .maps import FixationSet
 __all__ = ["read_pgm", "write_pgm", "read_fixations", "write_fixations"]
 
 
-def _pgm_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], int]:
+def _pgm_tokens(data: bytes, count: int, start: int, path) -> tuple[list[bytes], int]:
     """Read `count` whitespace-separated header tokens, skipping # comments."""
     tokens = []
     i = start
@@ -25,7 +25,7 @@ def _pgm_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], int]:
         while i < len(data) and data[i : i + 1].isspace():
             i += 1
         if i >= len(data):
-            raise ValueError("truncated PGM header")
+            raise ValueError(f"{path}: truncated PGM header")
         if data[i : i + 1] == b"#":
             while i < len(data) and data[i] != 0x0A:
                 i += 1
@@ -45,8 +45,11 @@ def read_pgm(path) -> np.ndarray:
     if data[:2] not in (b"P2", b"P5"):
         raise ValueError(f"{path}: not a PGM file")
     magic = data[:2]
-    (w_tok, h_tok, max_tok), pos = _pgm_tokens(data, 3, 2)
-    width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
+    (w_tok, h_tok, max_tok), pos = _pgm_tokens(data, 3, 2, path)
+    try:
+        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
+    except ValueError:
+        raise ValueError(f"{path}: non-integer PGM header value") from None
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise ValueError(f"{path}: bad PGM dimensions or maxval")
     if magic == b"P5":

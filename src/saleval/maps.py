@@ -123,11 +123,15 @@ class PreparedMap:
 def _std(p: PreparedMap) -> float:
     """``np.std``'s own steps from the kept mean, with one centred temporary."""
     centred = p.values - p.mean
-    np.square(centred, out=centred)
-    return float(np.sqrt(centred.sum() / p.size))
+    # a square or sum past float64 is inf, which the callers' range checks refuse
+    with np.errstate(over="ignore"):
+        np.square(centred, out=centred)
+        total = centred.sum()
+    return float(np.sqrt(total / p.size))
 
 
 def _frozen(m: np.ndarray) -> PreparedMap:
+    """m prepared without a copy or a check, for a valid map that nothing else references."""
     m.setflags(write=False)
     return PreparedMap(m)
 

@@ -6,36 +6,35 @@ points: signed shuffled symmetric KLD (SSKLD), shuffled Jensen-Shannon
 distance (SJSD), and shuffled Earth Mover's Distance (SEMD) built on a
 mass-mismatch-penalized EMD with a saturated bin-index ground distance.
 
-Every histogram here has B >= 2 equal-width bins over [0, 1], the last
-one right-closed, so its bin count alone fixes its binning. Trials are
-an array axis: the checked gather the trial metrics share
-(metrics_fixation._trial_samples) gives a candidate map's (n,) values at
-the n fixations and its (trials, n) values at the shuffled draws, one
-negative per fixation. A single bincount bins them into (trials, bins)
-masses, normalized by n, and SKLD and JSD reduce along the last axis;
-jsd is the one-row case of the JSD kernel. SEMD still solves one exact
-transport problem per trial (flow.py: a cheapest-first plan made optimal
-by negative-cycle canceling). A generic-LP oracle cross-checks the
-transport solver on small instances.
+Every histogram here is a plain 1-D array of masses over B >= 2
+equal-width bins of [0, 1], the last one right-closed, so its bin count
+alone fixes its binning. Trials are an array axis: the checked gather
+the trial metrics share (metrics_fixation._trial_samples) gives a
+candidate map's (n,) values at the n fixations and its (trials, n)
+values at the shuffled draws, one negative per fixation. A single
+bincount bins them into (trials, bins) masses, normalized by n, and SKLD
+and JSD reduce along the last axis; jsd is the one-row case of the JSD
+kernel. SEMD still calls emd_hat once per trial, and each call solves
+one exact transport problem (flow.py: a cheapest-first plan made optimal
+by negative-cycle canceling) under the ground distance
+min(|i - j|, saturation). A generic-LP oracle cross-checks the transport
+solver on small instances.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .flow import min_cost_transport
 from .maps import FixationSet
 from .metrics_fixation import MetricScore, _row_counts, _snss_rows, _trial_samples
-from .shuffle import ShuffleBank, TrialPlan, shuffled_draws
+from .shuffle import ShuffleBank, TrialPlan, _integer, shuffled_draws
 
 __all__ = [
     "SIGN_MODES",
-    "GroundDistanceSpec",
-    "ValueHistogram",
     "emd_brute_oracle",
     "emd_hat",
     "ground_distance_matrix",
@@ -49,52 +48,22 @@ __all__ = [
 SIGN_MODES = ("per-trial", "aggregate")
 
 
-@dataclass(frozen=True)
-class ValueHistogram:
-    """Binned distribution of sampled values over B equal-width bins of [0, 1].
+def _check_sign_mode(sign_mode: str) -> None:
+    if sign_mode not in SIGN_MODES:
+        raise ValueError(f"sign_mode must be one of {SIGN_MODES}")
 
-    mass holds the per-bin frequencies divided by `normalizer` (the sample
-    count the histogram is normalized against), so it sums to 1 when every
-    sample both landed in range and counted toward the normalizer.
+
+@functools.lru_cache(maxsize=64, typed=True)
+def ground_distance_matrix(bins: int, saturation: int) -> np.ndarray:
+    """(bins, bins) unit costs min(|i - j|, saturation), built once per pair and read-only.
+
+    saturation must be an integer >= 1 (not a bool). It is checked here,
+    so once per cache entry, not once per trial row; typed caching keeps
+    5.0 off 5's entry.
     """
-
-    mass: np.ndarray
-    normalizer: int
-
-    def __post_init__(self):
-        mass = np.asarray(self.mass, dtype=np.float64)
-        if mass.ndim != 1 or mass.size < 2:
-            raise ValueError("mass must be 1-D with B >= 2 bins")
-        values = mass.tolist()
-        # min misses a nan that is not first, but the sum catches it, and any inf
-        if not (min(values) >= 0 and math.isfinite(sum(values))):
-            raise ValueError("bin masses must be finite and >= 0")
-        if self.normalizer < 1:
-            raise ValueError("normalizer must be >= 1")
-        mass.setflags(write=False)
-        object.__setattr__(self, "mass", mass)
-
-    @property
-    def bins(self) -> int:
-        return self.mass.size
-
-
-@dataclass(frozen=True)
-class GroundDistanceSpec:
-    """Saturated absolute bin-index distance: d(i, j) = min(|i - j|, saturation)."""
-
-    saturation: int = 5
-
-    def __post_init__(self):
-        if self.saturation < 1:
-            raise ValueError("saturation must be >= 1")
-
-
-@functools.lru_cache(maxsize=64)
-def ground_distance_matrix(bins: int, d: GroundDistanceSpec) -> np.ndarray:
-    """(bins, bins) unit costs d(i, j), built once per (bins, spec) and read-only."""
+    saturation = _integer("saturation", saturation, 1)
     idx = np.arange(bins)
-    dist = np.minimum(np.abs(idx[:, None] - idx[None, :]), d.saturation).astype(np.float64)
+    dist = np.minimum(np.abs(idx[:, None] - idx[None, :]), saturation).astype(np.float64)
     dist.setflags(write=False)
     return dist
 
@@ -109,9 +78,20 @@ def _value_masses(vals: np.ndarray, bins: int) -> np.ndarray:
     return _row_counts(idx, bins) / vals.shape[-1]
 
 
-def _check_same_binning(a: ValueHistogram, b: ValueHistogram) -> None:
-    if a.bins != b.bins:
+def _masses(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """p and q as float64 bin masses of one binning: 1-D, B >= 2 bins, finite and >= 0."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    for mass in (p, q):
+        if mass.ndim != 1 or mass.size < 2:
+            raise ValueError("masses must be 1-D with B >= 2 bins")
+        values = mass.tolist()
+        # min misses a nan that is not first, but the sum catches it, and any inf
+        if not (min(values) >= 0 and math.isfinite(sum(values))):
+            raise ValueError("bin masses must be finite and >= 0")
+    if p.size != q.size:
         raise ValueError("histograms must share the same binning")
+    return p, q
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -142,36 +122,38 @@ def _jsd_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * (_kld2(pm) + _kld2(qm))
 
 
-def jsd(p: ValueHistogram, q: ValueHistogram) -> float:
+def jsd(p, q) -> float:
     """Jensen-Shannon divergence with base-2 logs, bounded to [0, 1].
 
-    Masses are renormalized to sum 1 internally; empty bins contribute
-    nothing (the 0 * log 0 = 0 convention).
+    p and q are the bin masses of one binning. They are renormalized to
+    sum 1 internally; empty bins contribute nothing (the 0 * log 0 = 0
+    convention).
     """
-    _check_same_binning(p, q)
-    if p.mass.sum() == 0 or q.mass.sum() == 0:
+    p, q = _masses(p, q)
+    if p.sum() == 0 or q.sum() == 0:
         raise ValueError("histograms must have positive total mass")
-    return float(_jsd_rows(p.mass, q.mass))
+    return float(_jsd_rows(p, q))
 
 
-def emd_hat(h_source: ValueHistogram, h_sink: ValueHistogram, d: GroundDistanceSpec) -> float:
+def emd_hat(a, b, saturation: int = 5) -> float:
     """Earth Mover's Distance valid for unnormalized histograms.
 
-    Minimum-cost transport of min(total masses) under the saturated
-    bin-index ground distance, plus |total mass difference| * saturation
-    as the mismatch penalty. The transport is solved exactly (flow.py).
+    a and b are the bin masses of one binning. Minimum-cost transport of
+    min(total masses) under the ground distance min(|i - j|, saturation),
+    plus |total mass difference| * saturation as the mismatch penalty. The
+    transport is solved exactly (flow.py).
     """
-    _check_same_binning(h_source, h_sink)
-    a = h_source.mass
-    b = h_sink.mass
+    # checked here, not only by the solver: a negative mass can leave
+    # residuals that pass its check, as [-1, 2] against [1, 1] does
+    a, b = _masses(a, b)
     # the saturated distance is a metric, so the in-place overlap ships at
     # zero cost in some optimal plan; solve only the residual
     overlap = np.minimum(a, b)
-    sol = min_cost_transport(a - overlap, b - overlap, ground_distance_matrix(a.size, d))
-    return sol.cost + abs(a.sum() - b.sum()) * d.saturation
+    sol = min_cost_transport(a - overlap, b - overlap, ground_distance_matrix(a.size, saturation))
+    return sol.cost + abs(a.sum() - b.sum()) * saturation
 
 
-def emd_brute_oracle(h1: ValueHistogram, h2: ValueHistogram, d: GroundDistanceSpec) -> float:
+def emd_brute_oracle(a, b, saturation: int = 5) -> float:
     """Independent exact reference for emd_hat via a generic LP formulation.
 
     Limited to small instances (<= 8 bins); intended for cross-validation,
@@ -179,13 +161,11 @@ def emd_brute_oracle(h1: ValueHistogram, h2: ValueHistogram, d: GroundDistanceSp
     """
     from scipy.optimize import linprog
 
-    _check_same_binning(h1, h2)
-    bins = h1.bins
+    a, b = _masses(a, b)
+    bins = a.size
     if bins > 8:
         raise ValueError("oracle limited to 8 bins")
-    a = h1.mass
-    b = h2.mass
-    c = ground_distance_matrix(bins, d).ravel()
+    c = ground_distance_matrix(bins, saturation).ravel()
     # f[i, j] flattened row-major; rows: sum_j f_ij <= a_i, cols: sum_i f_ij <= b_j
     row = np.zeros((bins, bins * bins))
     col = np.zeros((bins, bins * bins))
@@ -204,14 +184,16 @@ def emd_brute_oracle(h1: ValueHistogram, h2: ValueHistogram, d: GroundDistanceSp
     )
     if not res.success:
         raise RuntimeError(f"LP oracle failed: {res.message}")
-    return float(res.fun) + abs(a.sum() - b.sum()) * d.saturation
+    return float(res.fun) + abs(a.sum() - b.sum()) * saturation
 
 
-def _shuffled_samples(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan, metric_id: str):
+def _shuffled_samples(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan, metric_id: str, bins: int):
     """The checked (n,) fixation values, (T, n) shuffled values and (mean, std) of a normalized map.
 
+    bins, the histograms' bin count, is checked first: an integer >= 2.
     Every shuffled histogram metric refuses a constant map, as SNSS does.
     """
+    _integer("bins", bins, 2)
     draw = functools.partial(shuffled_draws, bank, fix, metric_id, plan)
     return _trial_samples(s, fix, metric_id, draw, normalized=True, standardized=True)
 
@@ -233,10 +215,9 @@ def sskld(
     as the original. sign_mode picks where the sign attaches: per trial
     (default) or once from the trial-mean SNSS.
     """
-    if sign_mode not in SIGN_MODES:
-        raise ValueError(f"sign_mode must be one of {SIGN_MODES}")
+    _check_sign_mode(sign_mode)
     _check_epsilon(epsilon)
-    pos, neg, (mu, sd) = _shuffled_samples(s, fix, bank, plan, "sskld")
+    pos, neg, (mu, sd) = _shuffled_samples(s, fix, bank, plan, "sskld", bins)
     snss_vals = _snss_rows(pos, neg, mu, sd)
     skld_vals = _skld_rows(_value_masses(pos, bins), _value_masses(neg, bins), epsilon)
     if sign_mode == "per-trial":
@@ -253,7 +234,7 @@ def sjsd(s, fix: FixationSet, bank: ShuffleBank, plan: TrialPlan, bins: int = 16
     which SKLD-style scores are not; higher is better. The score is the
     trial mean.
     """
-    pos, neg, _ = _shuffled_samples(s, fix, bank, plan, "sjsd")
+    pos, neg, _ = _shuffled_samples(s, fix, bank, plan, "sjsd", bins)
     vals = np.sqrt(_jsd_rows(_value_masses(pos, bins), _value_masses(neg, bins)))
     return MetricScore(float(vals.mean()), "sjsd", plan.num_trials)
 
@@ -264,17 +245,16 @@ def semd(
     bank: ShuffleBank,
     plan: TrialPlan,
     bins: int = 16,
-    d: GroundDistanceSpec = GroundDistanceSpec(),
+    saturation: int = 5,
 ) -> MetricScore:
     """Shuffled EMD: how far apart the fixated and negative value histograms sit.
 
     Unlike map-vs-map EMD (lower is better, and center-biased), this
     shuffled form rewards separation, so higher is better and center bias
     cancels through the negatives. The score is the trial mean of one
-    emd_hat per trial.
+    emd_hat per trial, under the ground distance min(|i - j|, saturation).
     """
-    pos, neg, _ = _shuffled_samples(s, fix, bank, plan, "semd")
-    n = len(fix)
-    h_pos = ValueHistogram(_value_masses(pos, bins), n)
-    vals = np.array([emd_hat(h_pos, ValueHistogram(row, n), d) for row in _value_masses(neg, bins)])
+    pos, neg, _ = _shuffled_samples(s, fix, bank, plan, "semd", bins)
+    p = _value_masses(pos, bins)
+    vals = np.array([emd_hat(p, q, saturation) for q in _value_masses(neg, bins)])
     return MetricScore(float(vals.mean()), "semd", plan.num_trials)

@@ -5,14 +5,7 @@ import pytest
 
 from saleval.maps import FixationSet
 from saleval.metrics_fixation import _sample_auc_rows, _snss_rows, _trial_samples
-from saleval.metrics_histogram import (
-    GroundDistanceSpec,
-    ValueHistogram,
-    _jsd_rows,
-    _skld_rows,
-    _value_masses,
-    emd_hat,
-)
+from saleval.metrics_histogram import _jsd_rows, _skld_rows, _value_masses, emd_hat
 from saleval.shuffle import build_shuffle_bank, shuffled_draws, uniform_draws
 
 
@@ -70,7 +63,7 @@ def trial_rows():
     return _trial_rows
 
 
-def _trial_rows(metric_id, s, fix, bank, plan, bins=16, epsilon=1e-12, d=GroundDistanceSpec()):
+def _trial_rows(metric_id, s, fix, bank, plan, bins=16, epsilon=1e-12, saturation=5):
     """(T,) per-trial values of a seeded metric: its checked gather, then its row kernel.
 
     The metric's score is the mean of these rows (SSKLD's under the default
@@ -93,5 +86,4 @@ def _trial_rows(metric_id, s, fix, bank, plan, bins=16, epsilon=1e-12, d=GroundD
         return np.sign(_snss_rows(pos, neg, *stats)) * _skld_rows(p, q, epsilon)
     if metric_id == "sjsd":
         return np.sqrt(_jsd_rows(p, q))
-    n = len(fix)
-    return np.array([emd_hat(ValueHistogram(p, n), ValueHistogram(row, n), d) for row in q])
+    return np.array([emd_hat(p, row, saturation) for row in q])

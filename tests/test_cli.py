@@ -282,6 +282,15 @@ def test_bad_ascii_map_pixel_is_user_error_naming_the_file(dataset, tmp_path, ca
     assert not (tmp_path / "out" / "records.csv").exists()
 
 
+def test_bad_map_header_is_user_error_naming_the_file(dataset, tmp_path, capsys):
+    map_path = dataset / "maps" / "gt_copy" / "img000.pgm"
+    map_path.write_bytes(b"P5\nabc 2\n255\n")
+    assert _evaluate(dataset, tmp_path / "out", ["--metrics", "cc"]) == 1
+    err = capsys.readouterr().err
+    assert "saleval: error:" in err and "img000.pgm: non-integer PGM header value" in err
+    assert not (tmp_path / "out" / "records.csv").exists()
+
+
 def test_unknown_metric_is_user_error():
     assert main(["evaluate", "--manifest", "x", "--out", "y", "--metrics", "vibes"]) == 1
 

@@ -78,6 +78,24 @@ def test_pgm_ascii_rejects_bad_pixel_values_naming_the_file(tmp_path, raster, me
         read_pgm(path)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5\nabc 2\n255\n", "non-integer PGM header value"),
+        (b"P5\n2 2\n1e3\n", "non-integer PGM header value"),
+        (b"P2\n2 1.5\n255\n", "non-integer PGM header value"),
+        (b"P5\n4 ", "truncated PGM header"),
+        (b"P2\n4 4 # no maxval\n", "truncated PGM header"),
+    ],
+    ids=["letters", "float-maxval", "fraction", "cut-short", "comment-to-end"],
+)
+def test_pgm_rejects_a_bad_header_naming_the_file(tmp_path, data, message):
+    path = tmp_path / "head.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"head.pgm: {message}"):
+        read_pgm(path)
+
+
 def test_pgm_write_rejects_out_of_range(tmp_path):
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "x.pgm", np.array([[1.5]]))

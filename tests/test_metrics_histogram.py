@@ -5,22 +5,17 @@ from scipy.stats import entropy
 from saleval.errors import DegenerateInputError
 from saleval.maps import FixationSet, density_from_fixations, invert_map, values_at
 from saleval.metrics_histogram import (
-    GroundDistanceSpec,
-    ValueHistogram,
     _skld_rows,
     _value_masses,
     emd_brute_oracle,
     emd_hat,
+    ground_distance_matrix,
     jsd,
     semd,
     sjsd,
     sskld,
 )
 from saleval.shuffle import TrialPlan, build_shuffle_bank, shuffled_negative_trials
-
-
-def _hist(mass, normalizer=1):
-    return ValueHistogram(np.asarray(mass, dtype=float), normalizer)
 
 
 def _blob_setup(seed=0):
@@ -59,20 +54,23 @@ def test_hist_rejects_empty_points():
         FixationSet("a", np.empty((0, 2), int), (2, 2))
 
 
-def test_value_histogram_validation():
-    assert ValueHistogram(np.array([0.5, 0.5]), 1).bins == 2
-    for mass, normalizer in (
-        (np.full((2, 2), 0.25), 1),  # not 1-D
-        (np.array([1.0]), 1),  # a single bin
-        (np.array([-0.1, 1.1]), 1),  # negative mass
-        (np.array([np.nan, 1.0, 0.0]), 1),  # nan mass, first
-        (np.array([1.0, np.nan, 0.0]), 1),  # nan mass, after a number
-        (np.array([0.5, np.inf]), 1),  # infinite mass
-        (np.array([0.5, -np.inf]), 1),
-        (np.array([0.5, 0.5]), 0),  # normalizer < 1
+def test_masses_are_refused_by_jsd_emd_hat_and_the_oracle():
+    for bad in (
+        np.full((2, 2), 0.25),  # not 1-D
+        [1.0],  # a single bin
+        [-0.1, 1.1],  # negative mass
+        # negative mass whose residuals against [1, 1] the transport solver accepts
+        [-1.0, 2.0],
+        [np.nan, 1.0, 0.0],  # nan mass, first
+        [1.0, np.nan, 0.0],  # nan mass, after a number
+        [0.5, np.inf],  # infinite mass
+        [0.5, -np.inf],
     ):
-        with pytest.raises(ValueError):
-            ValueHistogram(mass, normalizer)
+        good = np.ones(max(np.shape(bad)[-1], 2))
+        for measure in (jsd, emd_hat, emd_brute_oracle):
+            for a, b in ((bad, good), (good, bad)):
+                with pytest.raises(ValueError, match="masses"):
+                    measure(a, b)
 
 
 def test_symmetric_kld_identical_zero():
@@ -107,17 +105,17 @@ def test_symmetric_kld_nonnegative_random():
 
 @pytest.mark.parametrize(
     "measure",
-    [jsd, lambda a, b: emd_hat(a, b, GroundDistanceSpec())],
-    ids=["jsd", "emd_hat"],
+    [jsd, emd_hat, emd_brute_oracle],
+    ids=["jsd", "emd_hat", "oracle"],
 )
 def test_binning_mismatch_is_refused(measure):
     with pytest.raises(ValueError, match="same binning"):
-        measure(_hist([1.0, 0.0]), _hist([0.5, 0.25, 0.25]))
+        measure([1.0, 0.0], [0.5, 0.25, 0.25])
 
 
 def test_jsd_self_zero_and_disjoint_one():
-    p = _hist([1.0, 0.0])
-    q = _hist([0.0, 1.0])
+    p = [1.0, 0.0]
+    q = [0.0, 1.0]
     assert jsd(p, p) == 0.0
     assert jsd(p, q) == 1.0
 
@@ -125,10 +123,9 @@ def test_jsd_self_zero_and_disjoint_one():
 def test_jsd_matches_two_term_definition():
     rng = np.random.default_rng(9)
     for _ in range(50):
-        pm = rng.random(8)
-        qm = rng.random(8)
-        p, q = _hist(pm), _hist(qm)
-        pn, qn = pm / pm.sum(), qm / qm.sum()
+        p = rng.random(8)
+        q = rng.random(8)
+        pn, qn = p / p.sum(), q / q.sum()
         m = 0.5 * (pn + qn)
         ref = 0.5 * (entropy(pn, m, base=2) + entropy(qn, m, base=2))
         assert jsd(p, q) == pytest.approx(ref, abs=1e-12)
@@ -137,8 +134,8 @@ def test_jsd_matches_two_term_definition():
 def test_jsd_bounds_and_symmetry():
     rng = np.random.default_rng(10)
     for _ in range(200):
-        p = _hist(rng.random(6))
-        q = _hist(rng.random(6))
+        p = rng.random(6)
+        q = rng.random(6)
         v = jsd(p, q)
         assert 0.0 <= v <= 1.0
         assert v == pytest.approx(jsd(q, p), abs=1e-12)
@@ -147,7 +144,7 @@ def test_jsd_bounds_and_symmetry():
 def test_sqrt_jsd_triangle_inequality_sampled():
     rng = np.random.default_rng(11)
     for _ in range(10_000):
-        a, b, c = (_hist(rng.random(5) + 1e-9) for _ in range(3))
+        a, b, c = (rng.random(5) + 1e-9 for _ in range(3))
         dab = np.sqrt(jsd(a, b))
         dbc = np.sqrt(jsd(b, c))
         dac = np.sqrt(jsd(a, c))
@@ -155,29 +152,28 @@ def test_sqrt_jsd_triangle_inequality_sampled():
 
 
 def test_emd_identical_zero():
-    h = _hist([0.2, 0.5, 0.3])
-    assert emd_hat(h, h, GroundDistanceSpec()) == 0.0
+    h = [0.2, 0.5, 0.3]
+    assert emd_hat(h, h) == 0.0
 
 
 def test_emd_single_move():
-    assert emd_hat(_hist([1.0, 0.0]), _hist([0.0, 1.0]), GroundDistanceSpec(saturation=1)) == 1.0
+    assert emd_hat([1.0, 0.0], [0.0, 1.0], saturation=1) == 1.0
 
 
 def test_emd_mismatch_penalty_hand_case():
-    spec = GroundDistanceSpec(saturation=3)
     # move 1 unit one bin (cost 1) plus |2 - 1| * saturation
-    assert emd_brute_oracle(_hist([2.0, 0.0]), _hist([0.0, 1.0]), spec) == 4.0
-    assert emd_hat(_hist([2.0, 0.0]), _hist([0.0, 1.0]), spec) == 4.0
+    assert emd_brute_oracle([2.0, 0.0], [0.0, 1.0], 3) == 4.0
+    assert emd_hat([2.0, 0.0], [0.0, 1.0], 3) == 4.0
 
 
 def test_emd_matches_oracle_random_unnormalized():
     rng = np.random.default_rng(12)
     for _ in range(300):
         bins = int(rng.integers(2, 9))
-        a = _hist(rng.random(bins) * rng.integers(1, 5))
-        b = _hist(rng.random(bins) * rng.integers(1, 5))
-        spec = GroundDistanceSpec(saturation=int(rng.integers(1, 8)))
-        assert emd_hat(a, b, spec) == pytest.approx(emd_brute_oracle(a, b, spec), abs=1e-9)
+        a = rng.random(bins) * rng.integers(1, 5)
+        b = rng.random(bins) * rng.integers(1, 5)
+        sat = int(rng.integers(1, 8))
+        assert emd_hat(a, b, sat) == pytest.approx(emd_brute_oracle(a, b, sat), abs=1e-9)
 
 
 def test_emd_symmetric_for_equal_mass():
@@ -186,20 +182,37 @@ def test_emd_symmetric_for_equal_mass():
         a = rng.random(6)
         b = rng.random(6)
         b *= a.sum() / b.sum()
-        spec = GroundDistanceSpec(saturation=3)
-        assert emd_hat(_hist(a), _hist(b), spec) == pytest.approx(
-            emd_hat(_hist(b), _hist(a), spec), abs=1e-9
-        )
+        assert emd_hat(a, b, 3) == pytest.approx(emd_hat(b, a, 3), abs=1e-9)
 
 
 def test_oracle_rejects_large_instances():
     with pytest.raises(ValueError):
-        emd_brute_oracle(_hist(np.ones(9)), _hist(np.ones(9)), GroundDistanceSpec())
+        emd_brute_oracle(np.ones(9), np.ones(9))
 
 
 def test_ground_distance_validation():
-    with pytest.raises(ValueError):
-        GroundDistanceSpec(saturation=0)
+    fix, bank, g = _blob_setup()
+    plan = TrialPlan(num_trials=3, master_seed=0)
+    assert ground_distance_matrix(4, 5).tolist()[0] == [0.0, 1.0, 2.0, 3.0]
+    assert ground_distance_matrix(4, 1).tolist()[0] == [0.0, 1.0, 1.0, 1.0]
+    # cached by type too, so 5.0 and True miss the entries of 5 and 1 above
+    for saturation in (0, -1, 5.0, 2.5, True, "5"):
+        with pytest.raises(ValueError, match="saturation"):
+            ground_distance_matrix(4, saturation)
+        with pytest.raises(ValueError, match="saturation"):
+            emd_hat([1.0, 0.0], [0.0, 1.0], saturation)
+        with pytest.raises(ValueError, match="saturation"):
+            semd(g, fix, bank, plan, saturation=saturation)
+
+
+@pytest.mark.parametrize("bins", [1, 0, 2.5, True])
+@pytest.mark.parametrize("metric", [sskld, sjsd, semd])
+def test_shuffled_histogram_metrics_refuse_bins_that_are_not_integers_from_two(metric, bins):
+    # at bins=1 SSKLD and SJSD silently scored 0.0; 0 and 2.5 failed inside numpy
+    fix, bank, g = _blob_setup()
+    plan = TrialPlan(num_trials=3, master_seed=0)
+    with pytest.raises(ValueError, match="bins must be"):
+        metric(g, fix, bank, plan, bins=bins)
 
 
 def test_sskld_positive_for_gt_negative_for_inverted():
@@ -312,7 +325,7 @@ def _one_trial_masses(vals, bins, normalizer):
 def test_batched_trials_match_a_loop_over_trials(sized_tie_case, trial_rows, count, bins):
     s, fix, bank = sized_tie_case(count)
     plan = TrialPlan(num_trials=9, master_seed=5)
-    eps, d = 1e-9, GroundDistanceSpec(saturation=3)
+    eps, sat = 1e-9, 3
     n = len(fix)
     pos = s[fix.points[:, 1], fix.points[:, 0]]
     p = _one_trial_masses(pos, bins, n)
@@ -333,7 +346,7 @@ def test_batched_trials_match_a_loop_over_trials(sized_tie_case, trial_rows, cou
         mid = 0.5 * (pm + qm)
         terms = [a * np.log2(a / m) for masses in (pm, qm) for a, m in zip(masses, mid) if a > 0]
         sjsds.append(np.sqrt(0.5 * sum(terms)))
-    semds = [emd_hat(ValueHistogram(p, n), ValueHistogram(q, n), d) for _, q in negatives("semd")]
+    semds = [emd_hat(p, q, sat) for _, q in negatives("semd")]
 
     signs, sklds = np.array(signs), np.array(sklds)
     close = dict(rtol=0, atol=1e-12)
@@ -344,9 +357,9 @@ def test_batched_trials_match_a_loop_over_trials(sized_tie_case, trial_rows, cou
     aggregate = sskld(s, fix, bank, plan, bins, eps, "aggregate").value
     assert aggregate == pytest.approx(np.sign(snss_mean) * sklds.mean(), rel=0, abs=1e-12)
     np.testing.assert_allclose(trial_rows("sjsd", s, fix, bank, plan, bins), sjsds, **close)
-    np.testing.assert_allclose(trial_rows("semd", s, fix, bank, plan, bins, d=d), semds, **close)
+    np.testing.assert_allclose(trial_rows("semd", s, fix, bank, plan, bins, saturation=sat), semds, **close)
     assert sjsd(s, fix, bank, plan, bins).value == pytest.approx(np.mean(sjsds), rel=0, abs=1e-12)
-    assert semd(s, fix, bank, plan, bins, d).value == pytest.approx(np.mean(semds), rel=0, abs=1e-12)
+    assert semd(s, fix, bank, plan, bins, sat).value == pytest.approx(np.mean(semds), rel=0, abs=1e-12)
 
 
 def test_hist_is_the_one_row_case_with_values_on_edges(tie_case):
