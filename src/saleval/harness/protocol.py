@@ -23,8 +23,8 @@ from typing import Callable, NamedTuple
 from ..errors import DegenerateInputError
 from ..maps import (
     FixationSet,
-    _convolve1d,
     _frozen,
+    _nd_image,
     check_blur_sigma,
     density_from_fixations,
     gaussian_blur,
@@ -291,7 +291,7 @@ def evaluate_batch(
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so only a pooled batch loads it
 
-        _convolve1d()  # import scipy before the workers fork, so that they share it
+        _nd_image()  # load the blur's compiled module before the workers fork, so that they share it
         with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
             chunks = list(pool.map(_evaluate_image, units))
     else:

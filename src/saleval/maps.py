@@ -18,10 +18,16 @@ read-only, and it is the caller's own array only when that array was
 already read-only, C-ordered and owns its data; any other input is copied.
 
 The Gaussian blur is the costliest transform: the blur search blurs every
-model map once per sigma of the sweep. It stays ``scipy.ndimage.convolve1d``
-because its summation order is part of the reported scores. On maps of at
-least ``_BAND_MIN_PIXELS`` pixels, outside pool workers, it runs in row and
-column bands on the CPUs the process may use. Banding is exact: convolve1d
+model map once per sigma of the sweep. It runs the C loop behind
+``scipy.ndimage.convolve1d``, whose summation order is part of the reported
+scores, straight from scipy's compiled module ``scipy.ndimage._nd_image``.
+Loading that module alone took about 0.02 s, where importing the
+``scipy.ndimage`` package took about 0.35 s and 19 MB of memory (Python
+3.11, scipy 1.17.1, 2-core x86-64 host), in every process that blurs. The
+module is private to scipy; the signature used has been stable across
+releases, but was tested only with scipy 1.17.1. On maps of at least
+``_BAND_MIN_PIXELS`` pixels, outside pool workers, the blur runs in row and
+column bands on the CPUs the process may use. Banding is exact: the loop
 gives each line the same arithmetic whatever other lines its array holds,
 so the bands write the bits one whole-array call would. The floor comes
 from a measured break-even: below it, starting and joining the band threads
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,11 +120,17 @@ class PreparedMap:
 
     @property
     def mean(self) -> float:
-        return self.derived("mean", lambda p: float(p.values.mean()))
+        return self.derived("mean", _mean)
 
     @property
     def std(self) -> float:
         return self.derived("std", _std)
+
+
+def _mean(p: PreparedMap) -> float:
+    # a sum past float64 is inf, which the callers' range checks refuse
+    with np.errstate(over="ignore"):
+        return float(p.values.mean())
 
 
 def _std(p: PreparedMap) -> float:
@@ -238,11 +251,28 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _convolve1d():
-    """``scipy.ndimage.convolve1d``, imported on first use so that only blurring loads scipy."""
-    from scipy.ndimage import convolve1d
+def _nd_image():
+    """scipy's compiled module ``scipy.ndimage._nd_image``, loaded without the ``scipy.ndimage`` package.
 
-    return convolve1d
+    ``importlib.util.find_spec`` finds the package's directory without
+    running its ``__init__``; the extension is loaded from there and
+    registered in ``sys.modules``, and a module already registered, by an
+    earlier call or an earlier ``import scipy.ndimage``, is reused. A
+    package imported after this load lacks the ``_nd_image`` attribute, but
+    its own ``from . import _nd_image`` still finds the registered module.
+    """
+    name = "scipy.ndimage._nd_image"
+    module = sys.modules.get(name)
+    if module is None:
+        import importlib.util
+        from importlib.machinery import PathFinder
+
+        package = importlib.util.find_spec("scipy.ndimage")
+        spec = PathFinder.find_spec(name, package.submodule_search_locations)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module = sys.modules.setdefault(name, module)
+    return module
 
 
 def gaussian_blur(m, sigma: float) -> np.ndarray:
@@ -258,24 +288,26 @@ def gaussian_blur(m, sigma: float) -> np.ndarray:
     sigma of a sweep without checking the map again; the result is always
     a plain array.
 
-    The convolution stays ``scipy.ndimage.convolve1d``, imported here so
-    that only blurring loads scipy. Its summation order is part of the
-    scores: a numpy banded-matrix blur differs by about 1e-15, which is
-    enough to move synthesized density maps across ``np.rint`` ties and
-    change the seed-0 benchmark references. A numpy shifted-add form in
-    convolve1d's own order (``w0 * x``, then ``(x[i-j] + x[i+j]) * w_j`` for
-    j = r..1) is bit-identical but ran 3-4x slower.
+    The convolution is the C loop of ``scipy.ndimage.convolve1d``, called
+    from scipy's private compiled module (``_nd_image``) so that blurring
+    does not import the ``scipy.ndimage`` package. Its summation order is
+    part of the scores: a numpy banded-matrix blur differs by about 1e-15,
+    which is enough to move synthesized density maps across ``np.rint``
+    ties and change the seed-0 benchmark references. A numpy shifted-add
+    form in the loop's own order (``w0 * x``, then
+    ``(x[i-j] + x[i+j]) * w_j`` for j = r..1) is bit-identical but ran
+    3-4x slower.
 
     Maps of at least ``_BAND_MIN_PIXELS`` pixels are blurred in bands on the
     CPUs this process may run on, unless it is a pool worker (see
     ``_in_bands``): the row pass as row bands, the column pass, the
-    normalizer division and the peak clamp as column bands. convolve1d
+    normalizer division and the peak clamp as column bands. The loop
     computes each line with the same arithmetic whatever other lines its
     array holds, and every band writes its own slice of a shared output, so
     the result is bit-identical to one whole-array call per pass.
     """
     check_blur_sigma(sigma)
-    convolve1d = _convolve1d()
+    correlate1d = _nd_image().correlate1d
     if isinstance(m, PreparedMap):
         peak, floor, m = m.peak, m.floor, m.values
     else:
@@ -286,17 +318,28 @@ def gaussian_blur(m, sigma: float) -> np.ndarray:
         # avoids float ripple that would fake variance downstream
         return m.copy()
     k = _gaussian_kernel(sigma)
+
+    def blur_lines(lines: np.ndarray, axis: int, output: np.ndarray) -> np.ndarray:
+        # convolve1d reverses its weights, and for an odd kernel it passes
+        # this loop origin 0; mode 4 is "constant", here with cval 0. So for
+        # the odd, symmetric kernels of _gaussian_kernel this call gets the
+        # same weights and arguments as convolve1d(..., mode="constant"),
+        # and writes the same bits. Every caller passes an output of the
+        # shape of lines, which the public function would check.
+        correlate1d(lines, k, axis, output, 4, 0.0, 0)
+        return output
+
     # in-frame kernel mass, separable: outer(ny, nx)
-    ny = convolve1d(np.ones(m.shape[0]), k, mode="constant")
-    nx = convolve1d(np.ones(m.shape[1]), k, mode="constant")
+    ny = blur_lines(np.ones(m.shape[0]), 0, np.empty(m.shape[0]))
+    nx = blur_lines(np.ones(m.shape[1]), 0, np.empty(m.shape[1]))
     tmp = np.empty_like(m)
     out = np.empty_like(m)
 
     def row_band(rows: slice):
-        convolve1d(m[rows], k, axis=1, mode="constant", output=tmp[rows])
+        blur_lines(m[rows], 1, tmp[rows])
 
     def column_band(cols: slice):
-        convolve1d(tmp[:, cols], k, axis=0, mode="constant", output=out[:, cols])
+        blur_lines(tmp[:, cols], 0, out[:, cols])
         # the band's tmp columns are consumed: reuse them for its normalizer
         norm = np.multiply.outer(ny, nx[cols], out=tmp[:, cols])
         band = out[:, cols]

@@ -57,10 +57,11 @@ def _check_sign_mode(sign_mode: str) -> None:
 def ground_distance_matrix(bins: int, saturation: int) -> np.ndarray:
     """(bins, bins) unit costs min(|i - j|, saturation), built once per pair and read-only.
 
-    saturation must be an integer >= 1 (not a bool). It is checked here,
-    so once per cache entry, not once per trial row; typed caching keeps
-    5.0 off 5's entry.
+    bins must be an integer >= 2 and saturation one >= 1 (neither a bool).
+    They are checked here, so once per cache entry, not once per trial row;
+    typed caching keeps 5.0 off 5's entry.
     """
+    bins = _integer("bins", bins, 2)
     saturation = _integer("saturation", saturation, 1)
     idx = np.arange(bins)
     dist = np.minimum(np.abs(idx[:, None] - idx[None, :]), saturation).astype(np.float64)

@@ -61,11 +61,13 @@ def test_a_process_without_a_pool_loads_no_process_machinery(tmp_path):
         "records = saleval.evaluate_batch(manifest, config, saleval.TrialPlan(2, 1), jobs=1)\n"
         "saleval.emit_report(records, saleval.build_rankings(saleval.aggregate_scores(records)),\n"
         "                    None, sys.argv[2])\n"
-        "print(loaded('multiprocessing'))\n"  # scipy itself imports concurrent.futures
+        "print(loaded('concurrent', 'multiprocessing'))\n"
+        "print('scipy.ndimage._nd_image' in sys.modules, 'scipy.ndimage' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
+    # the blur loads scipy's compiled module, not the scipy.ndimage package
+    assert proc.stdout.splitlines()[-3:] == ["[]", "[]", "True False"]
     assert (tmp_path / "out" / "records.csv").is_file()

@@ -1,7 +1,11 @@
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +192,54 @@ def _two_pass_blur(m, sigma):
     ny = convolve1d(np.ones(m.shape[0]), k, mode="constant")
     nx = convolve1d(np.ones(m.shape[1]), k, mode="constant")
     return np.minimum(out / np.outer(ny, nx), m.max())
+
+
+_IMPORT_ORDER_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    import numpy as np
+    from saleval import maps
+    scipy_first, out = sys.argv[1] == "scipy-first", sys.argv[2]
+    m = np.random.default_rng(5).random((40, 30)) ** 3
+    if scipy_first:
+        import importlib.util
+        import scipy.ndimage
+        importlib.util.find_spec = None  # the loaded module is reused, not searched for
+    ours = maps._nd_image()
+    before = maps.gaussian_blur(m, 3.7)
+    assert ("scipy.ndimage" in sys.modules) == scipy_first
+    import scipy.ndimage
+    from scipy.ndimage import _filters
+    assert _filters._nd_image is ours  # one module serves both
+    np.savez(
+        out,
+        before=before,
+        after=maps.gaussian_blur(m, 3.7),
+        convolve1d=scipy.ndimage.convolve1d(m, [1.0, 2.0, 4.0], axis=0),
+        gaussian_filter=scipy.ndimage.gaussian_filter(m, 2.0),
+        map_coordinates=scipy.ndimage.map_coordinates(m, [[0.5, 7.25], [3.0, 20.5]], order=1),
+    )
+    """
+)
+
+
+@pytest.mark.parametrize("order", ["saleval-first", "scipy-first"])
+def test_the_blur_module_and_scipy_ndimage_load_in_either_order(tmp_path, order):
+    from scipy import ndimage
+
+    out = tmp_path / "out.npz"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_ORDER_SCRIPT, order, str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = np.load(out)
+    m = np.random.default_rng(5).random((40, 30)) ** 3
+    assert np.array_equal(got["before"], _two_pass_blur(m, 3.7))
+    assert np.array_equal(got["after"], got["before"])
+    assert np.array_equal(got["convolve1d"], ndimage.convolve1d(m, [1.0, 2.0, 4.0], axis=0))
+    assert np.array_equal(got["gaussian_filter"], ndimage.gaussian_filter(m, 2.0))
+    expected = ndimage.map_coordinates(m, [[0.5, 7.25], [3.0, 20.5]], order=1)
+    assert np.array_equal(got["map_coordinates"], expected)
 
 
 _FLOOR = maps._BAND_MIN_PIXELS

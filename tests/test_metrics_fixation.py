@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -114,6 +115,17 @@ def test_a_map_whose_variance_overflows_is_degenerate():
     # sskld refuses the unnormalized map before it reads the variance
     with pytest.raises(ValueError, match="sskld expects a normalized map"):
         sskld(huge, fix, bank, plan)
+
+
+def test_a_map_whose_sum_overflows_is_degenerate_without_a_warning():
+    # the mean is inf, so the variance is too; the sum used to warn on the way
+    s = np.array([[1.7e308, 1.7e308, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError, match="map variance overflows float64 in nss"):
+            nss(s, FixationSet("a", np.array([[2, 0]]), (4, 1)))
+        with pytest.raises(DegenerateInputError, match="map variance overflows float64 in cc"):
+            cc(s, np.array([[0.1, 0.9, 0.5, 0.2]]))
 
 
 def test_cc_refuses_a_denominator_that_leaves_float64():

@@ -203,6 +203,10 @@ def test_ground_distance_validation():
             emd_hat([1.0, 0.0], [0.0, 1.0], saturation)
         with pytest.raises(ValueError, match="saturation"):
             semd(g, fix, bank, plan, saturation=saturation)
+    # 2.5 built a 3x3 matrix and -3 an empty one
+    for bins in (2.5, -3, 1, True):
+        with pytest.raises(ValueError, match="bins must be"):
+            ground_distance_matrix(bins, 5)
 
 
 @pytest.mark.parametrize("bins", [1, 0, 2.5, True])
