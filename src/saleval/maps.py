@@ -375,10 +375,13 @@ def _usable_cpus() -> int:
 
 
 def _in_pool_worker() -> bool:
-    """Whether this process was started by ``multiprocessing``."""
-    import multiprocessing  # here, so that importing saleval loads no process machinery
+    """Whether this process was started by ``multiprocessing``.
 
-    return multiprocessing.parent_process() is not None
+    A process that has not loaded ``multiprocessing`` is none of its
+    children, so this imports nothing.
+    """
+    multiprocessing = sys.modules.get("multiprocessing")
+    return multiprocessing is not None and multiprocessing.parent_process() is not None
 
 
 def _in_bands(passes, pixels: int) -> None:

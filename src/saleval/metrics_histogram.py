@@ -79,10 +79,14 @@ def _value_masses(vals: np.ndarray, bins: int) -> np.ndarray:
     return _row_counts(idx, bins) / vals.shape[-1]
 
 
-def _masses(p, q) -> tuple[np.ndarray, np.ndarray]:
-    """p and q as float64 bin masses of one binning: 1-D, B >= 2 bins, finite and >= 0."""
+def _masses(p, q) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
+    """p and q as float64 bin masses of one binning: 1-D, B >= 2 bins, finite and >= 0.
+
+    Returned as arrays and as the lists of Python floats that the check reads.
+    """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
+    lists = []
     for mass in (p, q):
         if mass.ndim != 1 or mass.size < 2:
             raise ValueError("masses must be 1-D with B >= 2 bins")
@@ -90,9 +94,10 @@ def _masses(p, q) -> tuple[np.ndarray, np.ndarray]:
         # min misses a nan that is not first, but the sum catches it, and any inf
         if not (min(values) >= 0 and math.isfinite(sum(values))):
             raise ValueError("bin masses must be finite and >= 0")
+        lists.append(values)
     if p.size != q.size:
         raise ValueError("histograms must share the same binning")
-    return p, q
+    return p, q, *lists
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -130,7 +135,7 @@ def jsd(p, q) -> float:
     sum 1 internally; empty bins contribute nothing (the 0 * log 0 = 0
     convention).
     """
-    p, q = _masses(p, q)
+    p, q, _, _ = _masses(p, q)
     if p.sum() == 0 or q.sum() == 0:
         raise ValueError("histograms must have positive total mass")
     return float(_jsd_rows(p, q))
@@ -142,16 +147,21 @@ def emd_hat(a, b, saturation: int = 5) -> float:
     a and b are the bin masses of one binning. Minimum-cost transport of
     min(total masses) under the ground distance min(|i - j|, saturation),
     plus |total mass difference| * saturation as the mismatch penalty. The
-    transport is solved exactly (flow.py).
+    transport is solved exactly (flow.py); the two residuals go to the
+    solver as lists of Python floats, which it reads without numpy.
     """
     # checked here, not only by the solver: a negative mass can leave
     # residuals that pass its check, as [-1, 2] against [1, 1] does
-    a, b = _masses(a, b)
+    a, b, la, lb = _masses(a, b)
     # the saturated distance is a metric, so the in-place overlap ships at
-    # zero cost in some optimal plan; solve only the residual
-    overlap = np.minimum(a, b)
-    sol = min_cost_transport(a - overlap, b - overlap, ground_distance_matrix(a.size, saturation))
-    return sol.cost + abs(a.sum() - b.sum()) * saturation
+    # zero cost in some optimal plan; solve only the residual x - min(x, y)
+    # per bin, which is x - y or x - x = 0.0
+    sol = min_cost_transport(
+        [x - y if x > y else 0.0 for x, y in zip(la, lb)],
+        [y - x if y > x else 0.0 for x, y in zip(la, lb)],
+        ground_distance_matrix(a.size, saturation),
+    )
+    return sol.cost + abs(np.add.reduce(a) - np.add.reduce(b)) * saturation
 
 
 def emd_brute_oracle(a, b, saturation: int = 5) -> float:
@@ -162,7 +172,7 @@ def emd_brute_oracle(a, b, saturation: int = 5) -> float:
     """
     from scipy.optimize import linprog
 
-    a, b = _masses(a, b)
+    a, b, _, _ = _masses(a, b)
     bins = a.size
     if bins > 8:
         raise ValueError("oracle limited to 8 bins")

@@ -110,6 +110,11 @@ class ShuffleBank:
     entries: dict[str, np.ndarray]
     frame: tuple[int, int]
 
+    @functools.cached_property
+    def _kept_pool(self) -> dict[str, np.ndarray]:
+        """The last pool pooled_fixations made, by excluded image; written in place."""
+        return {}
+
     def __post_init__(self):
         if len(self.entries) < 2:
             raise ValueError("shuffle bank needs fixations from at least 2 images")
@@ -144,11 +149,23 @@ def build_shuffle_bank(dataset: Sequence[FixationSet], frame: tuple[int, int]) -
 
 
 def pooled_fixations(bank: ShuffleBank, exclude: str) -> np.ndarray:
-    """All bank fixations except the excluded image's, multiplicity kept."""
-    pools = [bank.entries[i] for i in sorted(bank.entries) if i != exclude]
-    if not pools:
-        raise ValueError(f"excluding {exclude!r} empties the shuffle bank")
-    return np.concatenate(pools, axis=0)
+    """All bank fixations except the excluded image's, multiplicity kept, read-only.
+
+    The bank keeps the last pool made from it, as its entries do not change:
+    the protocol scores one image's candidates in a row, each with every
+    shuffled metric, so that pool serves all of them.
+    """
+    kept = bank._kept_pool
+    pool = kept.get(exclude)
+    if pool is None:
+        pools = [bank.entries[i] for i in sorted(bank.entries) if i != exclude]
+        if not pools:
+            raise ValueError(f"excluding {exclude!r} empties the shuffle bank")
+        pool = np.concatenate(pools, axis=0)
+        pool.setflags(write=False)
+        kept.clear()
+        kept[exclude] = pool
+    return pool
 
 
 def _nonfixated_points(seeds, w: int, h: int, fixated_xy: np.ndarray, n: int) -> np.ndarray:
@@ -156,13 +173,17 @@ def _nonfixated_points(seeds, w: int, h: int, fixated_xy: np.ndarray, n: int) ->
     if n < 1:
         raise ValueError("n must be >= 1")
     total = w * h
-    fixated = np.unique(fixated_xy[:, 1] * w + fixated_xy[:, 0])
+    # the sorted distinct fixated pixels, as np.unique gives them without importing numpy.ma
+    fixated = np.sort(fixated_xy[:, 1] * w + fixated_xy[:, 0])
+    fixated = fixated[np.diff(fixated, prepend=-1) != 0]
     eligible = total - fixated.size
     if n > eligible:
         raise ValueError(f"requested {n} non-fixated pixels but only {eligible} exist")
     chosen = np.empty((len(seeds), n), dtype=np.int64)
     if eligible <= 4 * n:
-        flat = np.setdiff1d(np.arange(total, dtype=np.int64), fixated)
+        keep = np.ones(total, dtype=bool)
+        keep[fixated] = False
+        flat = np.flatnonzero(keep)
         for row, seed in zip(chosen, seeds):
             row[:] = _rng(seed).permutation(flat)[:n]
     else:

@@ -57,17 +57,43 @@ def test_a_process_without_a_pool_loads_no_process_machinery(tmp_path):
         "    return sorted(m for m in sys.modules if m.split('.')[0] in roots)\n"
         "manifest = saleval.load_manifest(sys.argv[1])\n"
         "print(loaded('concurrent', 'multiprocessing', 'scipy'))\n"
-        "config = saleval.EvalConfig(trials=2, blur_sweep=(0.0, 1.0), metrics=('sauc', 'cc'))\n"
+        "config = saleval.EvalConfig(trials=2, blur_sweep=(0.0, 1.0), metrics=('sauc', 'cc', 'auc_f'))\n"
         "records = saleval.evaluate_batch(manifest, config, saleval.TrialPlan(2, 1), jobs=1)\n"
         "saleval.emit_report(records, saleval.build_rankings(saleval.aggregate_scores(records)),\n"
         "                    None, sys.argv[2])\n"
         "print(loaded('concurrent', 'multiprocessing'))\n"
         "print('scipy.ndimage._nd_image' in sys.modules, 'scipy.ndimage' in sys.modules)\n"
+        "print('numpy.ma' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    # the blur loads scipy's compiled module, not the scipy.ndimage package
-    assert proc.stdout.splitlines()[-3:] == ["[]", "[]", "True False"]
+    # the blur loads scipy's compiled module, not the scipy.ndimage package, and
+    # auc_f's uniform draws do not import numpy.ma
+    assert proc.stdout.splitlines()[-4:] == ["[]", "[]", "True False", "False"]
     assert (tmp_path / "out" / "records.csv").is_file()
+
+
+def test_a_banded_blur_without_a_pool_loads_no_multiprocessing(tmp_path):
+    # 384x256 maps are blurred in bands, which first asks whether this is a
+    # pool worker; that question must not import multiprocessing
+    path = saleval.synth_dataset(tmp_path / "ds", num_images=2, frame=(384, 256), seed=3,
+                                 fixations_per_image=6, models=("gt_copy",))
+    script = (
+        "import sys\n"
+        "import saleval\n"
+        "manifest = saleval.load_manifest(sys.argv[1])\n"
+        "config = saleval.EvalConfig(trials=2, blur_sweep=(0.0, 1.0), metrics=('cc',))\n"
+        "saleval.evaluate_batch(manifest, config, saleval.TrialPlan(2, 1), jobs=1)\n"
+        "print('multiprocessing' in sys.modules)\n"
+        "print('concurrent.futures' in sys.modules, saleval.maps._usable_cpus() > 1)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    multiprocessing, threads = proc.stdout.splitlines()[-2:]
+    assert multiprocessing == "False"
+    # the band threads, which load concurrent.futures, run where more than one CPU is usable
+    assert threads in ("True True", "False False")

@@ -120,15 +120,30 @@ def test_matches_lp_on_random_instances():
         _check_plan(sol, supply, demand, cost)
 
 
-def test_cancels_the_cycle_a_cheapest_first_plan_leaves():
+@pytest.fixture
+def check_answers(monkeypatch):
+    """Every answer of the optimality check that precedes the cycle search, in call order."""
+    answers = []
+    real = flow._priced_optimal
+
+    def spy(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(flow, "_priced_optimal", spy)
+    return answers
+
+
+def test_cancels_the_cycle_a_cheapest_first_plan_leaves(check_answers):
     # cheapest first ships (0, 0) and then must ship (1, 1) at 10: cost 11
     sol = min_cost_transport([1.0, 1.0], [1.0, 1.0], [[1.0, 2.0], [1.0, 10.0]])
     assert sol.cost == 3.0
     assert sol.flows == ((0, 1, 1.0), (1, 0, 1.0))
+    assert check_answers == [False]  # the plan is not optimal, so the search runs
 
 
 @pytest.mark.parametrize("transpose", [False, True])
-def test_the_excess_stays_at_the_dearest_bin(transpose):
+def test_the_excess_stays_at_the_dearest_bin(transpose, check_answers):
     # three supply bins for two demand bins: cheapest first leaves bin 1
     # unused and ships from bin 2 at 9; the optimum swaps bin 1 in and
     # leaves bin 2, the dearest, with all of its mass
@@ -140,6 +155,33 @@ def test_the_excess_stays_at_the_dearest_bin(transpose):
     assert sol.cost == 3.0
     flows = {(j, i) if transpose else (i, j): amt for i, j, amt in sol.flows}
     assert flows == {(0, 1): 1.0, (1, 0): 1.0}
+    assert check_answers == [False]
+
+
+@pytest.mark.parametrize(
+    "supply, demand, cost",
+    [
+        # cheapest first ships (0, 0) and (2, 1) at 0; the part that supply 0
+        # starts must not be priced below the unused-supply node
+        ([1.0, 3.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [3.0, 2.0], [2.0, 0.0]]),
+        # (0, 0) and (1, 1) each empty both of their bins, so the plan falls in
+        # two parts; supply 0's part is priced against demand 1, not from 0
+        ([1.0, 1.0], [1.0, 1.0], [[1.0, 2.0], [2.0, 3.0]]),
+    ],
+)
+def test_the_check_accepts_optimal_plans_in_parts(supply, demand, cost, check_answers):
+    sol = min_cost_transport(supply, demand, cost)
+    lp = _lp_reference(np.array(supply), np.array(demand), np.array(cost))
+    assert sol.cost == pytest.approx(lp, abs=1e-12)
+    assert check_answers == [True]
+
+
+def test_the_check_accepts_optimal_cheapest_first_plans(check_answers):
+    rng = np.random.default_rng(33)
+    for supply, demand, cost in _emd_residual_instances(rng, 200):
+        sol = min_cost_transport(supply, demand, cost)
+        assert sol.cost == pytest.approx(_lp_reference(supply, demand, cost), abs=1e-9)
+    assert True in check_answers and False in check_answers
 
 
 def test_tiny_masses_and_tied_costs_terminate():
@@ -231,6 +273,55 @@ def test_matches_the_numpy_reference_bit_for_bit():
         )
         count += 1
     assert count == 2800
+
+
+def test_the_check_refuses_a_loaded_arc_it_cannot_price_at_zero():
+    # a plan whose shipped cells close a cycle: (1, 1) ships at 5 where its
+    # cycle prices it at 0, so its backward arc at -5 closes a negative cycle
+    _, tails, heads = flow._cells(2, 2)
+    plan = [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]
+    args = (plan, [0.0, 0.0], [0.0, 0.0], False, False)
+    assert not flow._priced_optimal(*args, [0.0, 0.0, 0.0, 5.0], 1e-12, tails, heads)
+    assert flow._priced_optimal(*args, [0.0, 0.0, 0.0, 0.0], 1e-12, tails, heads)
+
+
+def test_the_check_prices_the_arcs_into_the_unused_supply_node():
+    # supply 0 ships to demand 0 at 5 while supply 1, with mass to spare,
+    # ships there at 1: the cycle 0 -> unused -> 1 -> demand 0 -> 0 costs -4,
+    # and only the arc from supply 0 into the unused-supply node prices below 0
+    _, tails, heads = flow._cells(2, 2)
+    plan = [(0, 0, 0.5), (1, 0, 0.5)]
+    args = (plan, [0.0, 1.0], [0.0, 0.0], True, False)
+    assert not flow._priced_optimal(*args, [5.0, 9.0, 1.0, 9.0], 1e-12, tails, heads)
+    assert flow._priced_optimal(*args, [1.0, 9.0, 1.0, 9.0], 1e-12, tails, heads)
+
+
+def test_forcing_the_cycle_search_changes_no_bit(monkeypatch):
+    cases = list(_reference_cases(np.random.default_rng(31)))
+    checked = [_bits(min_cost_transport(*case)) for case in cases]
+    monkeypatch.setattr(flow, "_priced_optimal", lambda *args: False)
+    assert [_bits(min_cost_transport(*case)) for case in cases] == checked
+
+
+def test_semd_rows_match_the_numpy_reference_bit_for_bit(semd_rows, check_answers):
+    for supply, demand, cost in semd_rows:
+        assert type(supply) is list and type(demand) is list
+        assert _bits(min_cost_transport(supply, demand, cost)) == _bits(
+            reference_transport(supply, demand, cost)
+        )
+    # both ways through the check are taken
+    assert True in check_answers and False in check_answers
+
+
+def test_a_list_of_floats_solves_as_the_equal_array():
+    rng = np.random.default_rng(34)
+    for supply, demand, cost in [*_generic_instances(rng, 100), *_emd_residual_instances(rng, 100)]:
+        as_lists = min_cost_transport(supply.tolist(), demand.tolist(), cost)
+        assert _bits(as_lists) == _bits(min_cost_transport(supply, demand, cost))
+    # a list of ints is converted, so its flows and cost are floats
+    sol = min_cost_transport([2, 1], [1, 2], [[1, 2], [3, 1]])
+    assert sol.flows == ((0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0)) and sol.cost == 4.0
+    assert all(type(m) is float for _, _, m in sol.flows) and type(sol.cost) is float
 
 
 def test_a_one_bin_side_needs_no_cycle_search(monkeypatch):

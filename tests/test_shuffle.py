@@ -124,6 +124,17 @@ def test_shuffled_source_correctness():
     assert out.shape == (50, 2)
 
 
+def test_the_bank_keeps_the_last_pool_read_only():
+    bank = _bank()
+    pool = pooled_fixations(bank, "a")
+    assert pooled_fixations(bank, "a") is pool
+    assert not pool.flags.writeable
+    assert pool.tolist() == bank.entries["b"].tolist()
+    assert pooled_fixations(bank, "b").tolist() == bank.entries["a"].tolist()
+    again = pooled_fixations(bank, "a")  # made again: only the last pool is kept
+    assert again is not pool and again.tolist() == pool.tolist()
+
+
 def test_shuffled_deterministic():
     bank = _bank()
     s1 = sample_shuffled_nonfixated(bank, "b", 7, seed=11)
