@@ -13,13 +13,12 @@ Modules:
     shuffle: seeded uniform and cross-image negative sampling.
     metrics_fixation: CC, SIM, NSS, SNSS and the AUC family.
     metrics_histogram: value histograms, KLD/JSD, EMD, shuffled forms.
-    flow: the exact min-cost transport solver behind the EMD.
+    flow: the EMD's exact transport, a 1-D dynamic program.
     harness: manifests, the evaluation protocol, statistics, reports.
     cli: the `saleval` command.
 """
 
 from .errors import DegenerateInputError, ManifestError
-from .flow import FlowSolution, min_cost_transport
 from .harness import (
     ALL_METRICS,
     SHUFFLED_METRICS,
@@ -34,7 +33,6 @@ from .harness import (
     kendalls_w,
     load_manifest,
     normalized_std_table,
-    optimal_blur_search,
     rank_by_score,
     read_records,
     synth_dataset,

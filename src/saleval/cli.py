@@ -286,7 +286,7 @@ def _cmd_validate(_args) -> int:
         sat = int(rng.integers(1, 8))
         worst = max(worst, abs(emd_hat(a, b, sat) - emd_brute_oracle(a, b, sat)))
     ok &= worst <= 1e-9
-    print(f"[{'PASS' if worst <= 1e-9 else 'FAIL'}] EMD min-cost flow vs LP oracle")
+    print(f"[{'PASS' if worst <= 1e-9 else 'FAIL'}] EMD exact DP vs LP oracle")
 
     from scipy.stats import entropy
 

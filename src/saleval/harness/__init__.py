@@ -18,7 +18,6 @@ from .protocol import (
     EvaluationRecord,
     evaluate_batch,
     evaluate_pair,
-    optimal_blur_search,
 )
 from .report import RECORD_FIELDS, emit_report, read_records
 from .stats import (
@@ -50,7 +49,6 @@ __all__ = [
     "kendalls_w",
     "load_manifest",
     "normalized_std_table",
-    "optimal_blur_search",
     "rank_by_score",
     "read_records",
     "synth_dataset",

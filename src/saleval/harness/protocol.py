@@ -44,7 +44,6 @@ __all__ = [
     "EvaluationRecord",
     "evaluate_batch",
     "evaluate_pair",
-    "optimal_blur_search",
 ]
 
 
@@ -161,20 +160,6 @@ def _best_per_scorer(candidates, scorers) -> list[tuple[float | None, float | No
     return best
 
 
-def optimal_blur_search(s, scorer, sweep) -> tuple[float | None, float | None]:
-    """Best (sigma, score) over the blur sweep; smallest sigma wins ties.
-
-    The sweep must include 0 so "no blur" is always a candidate. A scorer
-    that is degenerate at every blur level yields (None, None): a missing
-    score, not an error. The scorer gets each blurred candidate as a
-    plain array.
-    """
-    levels = _blur_levels(sweep)
-    s = prepare(s)
-    [best] = _best_per_scorer(((sigma, gaussian_blur(s, sigma)) for sigma in levels), [scorer])
-    return best
-
-
 def evaluate_pair(
     s_raw,
     image: ImageEntry,
@@ -191,7 +176,7 @@ def evaluate_pair(
     blurred at each sigma of the sweep in ascending order. Each candidate
     is prepared once, scored with every metric of the config and dropped
     before the next is blurred, so one candidate is alive at a time; each
-    metric keeps its own best (see ``optimal_blur_search`` for the rule).
+    metric keeps its own best (see ``_best_per_scorer`` for the rule).
     Metrics needing the density map (cc, sim, auc_s) require g; the
     shuffled metrics ignore it. g may be a prepared map, so that what the
     metrics derive from it serves every model of the image. The plan must

@@ -15,10 +15,10 @@ values at the shuffled draws, one negative per fixation. A single
 bincount bins them into (trials, bins) masses, normalized by n, and SKLD
 and JSD reduce along the last axis; jsd is the one-row case of the JSD
 kernel. SEMD still calls emd_hat once per trial, and each call solves
-one exact transport problem (flow.py: a cheapest-first plan made optimal
-by negative-cycle canceling) under the ground distance
-min(|i - j|, saturation). A generic-LP oracle cross-checks the transport
-solver on small instances.
+one exact transport problem under the ground distance
+min(|i - j|, saturation) (flow.py: a 1-D dynamic program, exact because
+that distance is a path metric with a hub). A generic-LP oracle
+cross-checks it on small instances.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "SIGN_MODES",
     "emd_brute_oracle",
     "emd_hat",
-    "ground_distance_matrix",
     "jsd",
     "semd",
     "sjsd",
@@ -51,22 +50,6 @@ SIGN_MODES = ("per-trial", "aggregate")
 def _check_sign_mode(sign_mode: str) -> None:
     if sign_mode not in SIGN_MODES:
         raise ValueError(f"sign_mode must be one of {SIGN_MODES}")
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def ground_distance_matrix(bins: int, saturation: int) -> np.ndarray:
-    """(bins, bins) unit costs min(|i - j|, saturation), built once per pair and read-only.
-
-    bins must be an integer >= 2 and saturation one >= 1 (neither a bool).
-    They are checked here, so once per cache entry, not once per trial row;
-    typed caching keeps 5.0 off 5's entry.
-    """
-    bins = _integer("bins", bins, 2)
-    saturation = _integer("saturation", saturation, 1)
-    idx = np.arange(bins)
-    dist = np.minimum(np.abs(idx[:, None] - idx[None, :]), saturation).astype(np.float64)
-    dist.setflags(write=False)
-    return dist
 
 
 def _value_masses(vals: np.ndarray, bins: int) -> np.ndarray:
@@ -144,24 +127,24 @@ def jsd(p, q) -> float:
 def emd_hat(a, b, saturation: int = 5) -> float:
     """Earth Mover's Distance valid for unnormalized histograms.
 
-    a and b are the bin masses of one binning. Minimum-cost transport of
-    min(total masses) under the ground distance min(|i - j|, saturation),
-    plus |total mass difference| * saturation as the mismatch penalty. The
-    transport is solved exactly (flow.py); the two residuals go to the
-    solver as lists of Python floats, which it reads without numpy.
+    a and b are the bin masses of one binning, and saturation an integer
+    >= 1. Minimum-cost transport of min(total masses) under the ground
+    distance min(|i - j|, saturation), plus |total mass difference| *
+    saturation as the mismatch penalty. The transport is solved exactly
+    by flow.py's dynamic program, which reads the masses as lists of
+    Python floats.
     """
-    # checked here, not only by the solver: a negative mass can leave
-    # residuals that pass its check, as [-1, 2] against [1, 1] does
-    a, b, la, lb = _masses(a, b)
-    # the saturated distance is a metric, so the in-place overlap ships at
-    # zero cost in some optimal plan; solve only the residual x - min(x, y)
-    # per bin, which is x - y or x - x = 0.0
-    sol = min_cost_transport(
-        [x - y if x > y else 0.0 for x, y in zip(la, lb)],
-        [y - x if y > x else 0.0 for x, y in zip(la, lb)],
-        ground_distance_matrix(a.size, saturation),
-    )
-    return sol.cost + abs(np.add.reduce(a) - np.add.reduce(b)) * saturation
+    # checked here: the solver checks neither the masses nor the saturation
+    _, _, la, lb = _masses(a, b)
+    saturation = _integer("saturation", saturation, 1)
+    # summed in bin order, so zero bins padded at either end change no bit
+    return min_cost_transport(la, lb, saturation) + abs(sum(la) - sum(lb)) * saturation
+
+
+def _ground_distance(bins: int, saturation: int) -> np.ndarray:
+    """(bins, bins) unit costs min(|i - j|, saturation)."""
+    idx = np.arange(bins)
+    return np.minimum(np.abs(idx[:, None] - idx[None, :]), saturation).astype(np.float64)
 
 
 def emd_brute_oracle(a, b, saturation: int = 5) -> float:
@@ -173,10 +156,11 @@ def emd_brute_oracle(a, b, saturation: int = 5) -> float:
     from scipy.optimize import linprog
 
     a, b, _, _ = _masses(a, b)
+    saturation = _integer("saturation", saturation, 1)
     bins = a.size
     if bins > 8:
         raise ValueError("oracle limited to 8 bins")
-    c = ground_distance_matrix(bins, saturation).ravel()
+    c = _ground_distance(bins, saturation).ravel()
     # f[i, j] flattened row-major; rows: sum_j f_ij <= a_i, cols: sum_i f_ij <= b_j
     row = np.zeros((bins, bins * bins))
     col = np.zeros((bins, bins * bins))
@@ -265,6 +249,7 @@ def semd(
     cancels through the negatives. The score is the trial mean of one
     emd_hat per trial, under the ground distance min(|i - j|, saturation).
     """
+    saturation = _integer("saturation", saturation, 1)  # before the map can be found degenerate
     pos, neg, _ = _shuffled_samples(s, fix, bank, plan, "semd", bins)
     p = _value_masses(pos, bins)
     vals = np.array([emd_hat(p, q, saturation) for q in _value_masses(neg, bins)])

@@ -3,8 +3,6 @@ import functools
 import numpy as np
 import pytest
 
-import saleval
-import saleval.metrics_histogram
 from saleval.maps import FixationSet
 from saleval.metrics_fixation import _sample_auc_rows, _snss_rows, _trial_samples
 from saleval.metrics_histogram import _jsd_rows, _skld_rows, _value_masses, emd_hat
@@ -89,29 +87,3 @@ def _trial_rows(metric_id, s, fix, bank, plan, bins=16, epsilon=1e-12, saturatio
     if metric_id == "sjsd":
         return np.sqrt(_jsd_rows(p, q))
     return np.array([emd_hat(p, row, saturation) for row in q])
-
-
-@pytest.fixture(scope="session")
-def semd_rows(tmp_path_factory):
-    """(supply, demand, cost) of every transport solve SEMD makes on a small synthesized dataset.
-
-    The rows come through semd's own binning inside evaluate_batch: masses
-    k/n over n fixations, with the overlap of the two histograms removed,
-    as the lists emd_hat hands the solver.
-    """
-    path = saleval.synth_dataset(tmp_path_factory.mktemp("semd") / "ds", num_images=3, frame=(64, 48),
-                                 seed=5, fixations_per_image=20,
-                                 models=("gt_copy", "center_gauss", "gt_noisy"))
-    config = saleval.EvalConfig(trials=20, blur_sweep=(0.0, 2.0, 8.0), metrics=("semd",))
-    rows = []
-    real = saleval.metrics_histogram.min_cost_transport
-
-    def harvest(supply, demand, cost):
-        rows.append((supply, demand, cost))
-        return real(supply, demand, cost)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(saleval.metrics_histogram, "min_cost_transport", harvest)
-        saleval.evaluate_batch(saleval.load_manifest(path), config, saleval.TrialPlan(20, 0), jobs=1)
-    assert len(rows) == 3 * 3 * 3 * 20  # images x models x blur levels x trials
-    return rows

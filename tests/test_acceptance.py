@@ -119,7 +119,7 @@ def test_criterion_2_emd_oracle_equivalence():
     ok = worst <= 1e-9 and elapsed < 30.0
     _criterion(
         2,
-        "EMD min-cost flow vs LP oracle on 1000 unnormalized pairs",
+        "EMD exact DP vs LP oracle on 1000 unnormalized pairs",
         ok,
         f"worst: {worst:.2e}, {elapsed:.1f}s",
     )

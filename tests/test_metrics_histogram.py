@@ -9,7 +9,6 @@ from saleval.metrics_histogram import (
     _value_masses,
     emd_brute_oracle,
     emd_hat,
-    ground_distance_matrix,
     jsd,
     semd,
     sjsd,
@@ -190,23 +189,46 @@ def test_oracle_rejects_large_instances():
         emd_brute_oracle(np.ones(9), np.ones(9))
 
 
+def test_the_exact_dp_matches_the_lp_oracle():
+    # the DP against the generic LP on every bin count and saturation the
+    # oracle takes; integer masses agree exactly, float masses to 1e-12
+    rng = np.random.default_rng(21)
+    for bins in range(2, 9):
+        for saturation in range(1, 9):
+            a = rng.integers(0, 4, bins) * (rng.random(bins) < 0.7)  # zero-mass bins
+            b = rng.integers(0, 4, bins) * (rng.random(bins) < 0.7)
+            low = np.arange(bins) < rng.integers(1, bins)
+            none = np.zeros(bins)
+            middle, ends = np.zeros(bins), np.zeros(bins)
+            middle[bins // 2], ends[[0, -1]] = 2, 1  # tied costs from the middle to both ends
+            exact = [(a, b), (a * low, b * ~low), (a, none), (none, b), (middle, ends)]
+            for p, q in exact:
+                assert emd_hat(p, q, saturation) == emd_brute_oracle(p, q, saturation), (p, q)
+            scale = rng.integers(1, 5, 2)
+            p = rng.random(bins) * scale[0] * (rng.random(bins) < 0.8)
+            q = rng.random(bins) * scale[1] * (rng.random(bins) < 0.8)
+            assert abs(emd_hat(p, q, saturation) - emd_brute_oracle(p, q, saturation)) <= 1e-12
+            # zero bins padded at either end change no bit
+            for p, q in [*exact, (p, q)]:
+                pad = rng.integers(0, 4, 2)
+                padded = emd_hat(np.pad(p, pad), np.pad(q, pad), saturation)
+                assert padded == emd_hat(p, q, saturation), (p, q, pad)
+
+
 def test_ground_distance_validation():
     fix, bank, g = _blob_setup()
     plan = TrialPlan(num_trials=3, master_seed=0)
-    assert ground_distance_matrix(4, 5).tolist()[0] == [0.0, 1.0, 2.0, 3.0]
-    assert ground_distance_matrix(4, 1).tolist()[0] == [0.0, 1.0, 1.0, 1.0]
-    # cached by type too, so 5.0 and True miss the entries of 5 and 1 above
     for saturation in (0, -1, 5.0, 2.5, True, "5"):
+        for measure in (emd_hat, emd_brute_oracle):
+            with pytest.raises(ValueError, match="saturation"):
+                measure([1.0, 0.0], [0.0, 1.0], saturation)
+        # refused before the constant map is found degenerate
         with pytest.raises(ValueError, match="saturation"):
-            ground_distance_matrix(4, saturation)
-        with pytest.raises(ValueError, match="saturation"):
-            emd_hat([1.0, 0.0], [0.0, 1.0], saturation)
-        with pytest.raises(ValueError, match="saturation"):
-            semd(g, fix, bank, plan, saturation=saturation)
-    # 2.5 built a 3x3 matrix and -3 an empty one
-    for bins in (2.5, -3, 1, True):
-        with pytest.raises(ValueError, match="bins must be"):
-            ground_distance_matrix(bins, 5)
+            semd(np.full_like(g, 0.5), fix, bank, plan, saturation=saturation)
+    # the oracle's bin count is its histograms' length
+    for bins, match in ((1, "B >= 2 bins"), (9, "limited to 8 bins")):
+        with pytest.raises(ValueError, match=match):
+            emd_brute_oracle(np.ones(bins), np.ones(bins))
 
 
 @pytest.mark.parametrize("bins", [1, 0, 2.5, True])

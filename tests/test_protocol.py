@@ -1,4 +1,5 @@
 import concurrent.futures
+import inspect
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saleval import auc_f, auc_s, cc, maps, sauc, semd, shuffle, sim, sjsd, snss, sskld
+from saleval import auc_f, auc_s, cc, emd_hat, maps, sauc, semd, shuffle, sim, sjsd, snss, sskld
+from saleval.errors import DegenerateInputError
 from saleval.harness import (
     ALL_METRICS,
     BASELINE_MODELS,
@@ -19,11 +21,11 @@ from saleval.harness import (
     evaluate_batch,
     evaluate_pair,
     load_manifest,
-    optimal_blur_search,
     read_records,
     synth_dataset,
 )
 from saleval.harness import protocol
+from saleval.harness.dataset import ImageEntry
 from saleval.io import read_pgm
 from saleval.maps import (
     FixationSet,
@@ -36,10 +38,20 @@ from saleval.metrics_fixation import nss
 from saleval.shuffle import TrialPlan, build_shuffle_bank
 
 
-def test_blur_search_constant_scorer_picks_zero():
-    best_sigma, best_score = optimal_blur_search(np.ones((8, 8)) * 0.5, lambda m: 1.0, (0, 2, 4))
-    assert best_sigma == 0
-    assert best_score == 1.0
+def _blur_search(s, fix, sweep):
+    """(blur_sigma, score) that evaluate_pair records for NSS on the map s over a sweep."""
+    h, w = s.shape
+    image = ImageEntry(image_id=fix.image_id, width=w, height=h, fixation_file="unused")
+    config = EvalConfig(trials=1, blur_sweep=sweep, metrics=("nss",))
+    [record] = evaluate_pair(s, image, fix, None, None, TrialPlan(1, 0), config)
+    return record.blur_sigma, record.score
+
+
+def test_blur_search_constant_scorer_picks_zero(monkeypatch):
+    # a tie at every level keeps the smallest sigma
+    monkeypatch.setattr(protocol, "nss", lambda m, fix: 1.0)
+    fix = FixationSet("a", [[2, 2]], (8, 8))
+    assert _blur_search(np.ones((8, 8)) * 0.5, fix, (0, 2, 4)) == (0.0, 1.0)
 
 
 def test_blur_search_recovers_generating_sigma():
@@ -51,7 +63,7 @@ def test_blur_search_recovers_generating_sigma():
     target = normalize_map(gaussian_blur(s, 4.0))
     yx = np.argwhere(target > 0.4)
     fix = FixationSet("a", np.column_stack([yx[:, 1], yx[:, 0]]), (48, 48))
-    best_sigma, _ = optimal_blur_search(s, lambda m: nss(m, fix), (0, 1, 2, 4, 8, 16))
+    best_sigma, _ = _blur_search(s, fix, (0, 1, 2, 4, 8, 16))
     assert best_sigma in (2, 4, 8)
 
 
@@ -59,23 +71,35 @@ def test_blur_search_single_zero_sweep():
     rng = np.random.default_rng(1)
     s = rng.random((8, 8))
     fix = FixationSet("a", [[2, 2]], (8, 8))
-    best_sigma, best_score = optimal_blur_search(s, lambda m: nss(m, fix), (0,))
+    best_sigma, best_score = _blur_search(s, fix, (0,))
     assert best_sigma == 0
     assert best_score == pytest.approx(nss(s, fix))
 
 
 def test_blur_search_all_degenerate_is_missing():
-    best_sigma, best_score = optimal_blur_search(
-        np.full((8, 8), 0.5), lambda m: nss(m, FixationSet("a", [[1, 1]], (8, 8))), (0, 2)
-    )
-    assert best_sigma is None and best_score is None
+    fix = FixationSet("a", [[1, 1]], (8, 8))
+    assert _blur_search(np.full((8, 8), 0.5), fix, (0, 2)) == (None, None)
 
 
 def test_blur_search_validates_sweep():
-    with pytest.raises(ValueError):
-        optimal_blur_search(np.ones((4, 4)), lambda m: 0.0, ())
-    with pytest.raises(ValueError):
-        optimal_blur_search(np.ones((4, 4)), lambda m: 0.0, (1, 2))
+    # evaluate_pair searches its config's sweep, and the config refuses a bad one
+    for sweep in ((), (1, 2)):
+        with pytest.raises(ValueError, match="blur sweep"):
+            EvalConfig(blur_sweep=sweep)
+
+
+def test_kernel_defaults_are_the_protocol_defaults():
+    # the per-metric functions, called with their defaults, score as the protocol does
+    config = EvalConfig()
+
+    def defaults(kernel):
+        params = inspect.signature(kernel).parameters.values()
+        return {p.name: p.default for p in params if p.default is not p.empty}
+
+    assert defaults(sskld) == {"bins": config.bins, "epsilon": config.epsilon, "sign_mode": config.sign_mode}
+    assert defaults(sjsd) == {"bins": config.bins}
+    assert defaults(semd) == {"bins": config.bins, "saturation": config.emd_saturation}
+    assert defaults(emd_hat) == {"saturation": config.emd_saturation}
 
 
 def _tiny_setup(tmp_path, **kw):
@@ -292,7 +316,15 @@ def test_batch_on_prepared_maps_equals_each_metric_on_raw_arrays(tmp_path, jobs)
         s0 = normalize_map(resize_map(read_pgm(manifest.map_path(r.model_id, r.image_id)),
                                       image.width, image.height))
         scorer = _scored_on_raw_arrays(r.metric_id, fix, g, bank, plan)
-        assert (r.blur_sigma, r.score) == optimal_blur_search(s0, scorer, config.blur_sweep), r
+        best = (None, None)  # first best over the ascending sweep
+        for sigma in sorted(config.blur_sweep):
+            try:
+                score = scorer(gaussian_blur(s0, sigma))
+            except DegenerateInputError:
+                continue
+            if best[1] is None or score > best[1]:
+                best = (sigma, score)
+        assert (r.blur_sigma, r.score) == best, r
 
 
 def test_numpy_sigmas_report_like_python_floats(tmp_path):
