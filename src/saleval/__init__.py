@@ -74,8 +74,6 @@ from .shuffle import (
     TrialPlan,
     build_shuffle_bank,
     derive_trial_seed,
-    sample_shuffled_nonfixated,
-    sample_uniform_nonfixated,
 )
 
 __version__ = "0.1.0"

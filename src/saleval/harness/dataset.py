@@ -59,6 +59,11 @@ class ImageEntry:
     complexity: str = "unspecified"
 
     def __post_init__(self):
+        for name, kind in (("image_id", str), ("width", int), ("height", int), ("fixation_file", str)):
+            value = getattr(self, name)
+            # json reads 32.0 as a float, and a bool is an int
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ManifestError(f"{self.image_id}: {name} must be {kind.__name__}, not {value!r}")
         if self.width < 1 or self.height < 1:
             raise ManifestError(f"{self.image_id}: bad dimensions")
         if self.distortion_type not in DISTORTION_TYPES:
@@ -112,10 +117,11 @@ def _check_pixels_per_degree(ppd) -> None:
 def load_manifest(path) -> DatasetManifest:
     """Load and fully validate a dataset manifest.
 
-    Checks the schema version, the tag enumerations, that every referenced
-    file exists, that every model covers every image, and that every
-    fixation file parses with coordinates inside its declared frame, and
-    that pixels_per_degree gives a density blur gaussian_blur can build.
+    Checks the schema version, each field's JSON type, the tag
+    enumerations, that image and model ids are unique, that every
+    referenced file exists, that every model covers every image, that
+    every fixation file parses with coordinates inside its declared frame,
+    and that pixels_per_degree gives a density blur gaussian_blur can build.
     Errors name the offending entry.
     """
     path = Path(path)
@@ -125,7 +131,13 @@ def load_manifest(path) -> DatasetManifest:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: not valid JSON: {exc}") from None
-    if raw.get("manifest_version") != MANIFEST_VERSION:
+    if not isinstance(raw, dict):
+        raise ManifestError(f"{path}: the top level must be a JSON object, not {type(raw).__name__}")
+    for key in ("images", "models"):
+        if not isinstance(raw.get(key, []), list):
+            raise ManifestError(f"{path}: {key} must be a JSON array")
+    version = raw.get("manifest_version")
+    if type(version) is not int or version != MANIFEST_VERSION:  # json's true == 1
         raise ManifestError(f"{path}: manifest_version must be {MANIFEST_VERSION}")
     ppd = raw.get("pixels_per_degree")
     try:
@@ -166,14 +178,21 @@ def load_manifest(path) -> DatasetManifest:
 
     models = []
     for entry in raw.get("models", []):
-        model_id = entry.get("model_id")
-        maps = entry.get("maps")
-        if not model_id or not isinstance(maps, dict):
+        fields = entry if isinstance(entry, dict) else {}
+        model_id, maps = fields.get("model_id"), fields.get("maps")
+        if not (model_id and isinstance(model_id, str) and isinstance(maps, dict)):
             raise ManifestError(f"{path}: malformed model entry {entry!r}")
+        if any(m.model_id == model_id for m in models):
+            raise ManifestError(f"duplicate model_id {model_id!r}")
         for image in images:
             if image.image_id not in maps:
                 raise ManifestError(f"model {model_id!r}: no map for image {image.image_id!r}")
-            mpath = root / maps[image.image_id]
+            rel = maps[image.image_id]
+            if not isinstance(rel, str):
+                raise ManifestError(
+                    f"model {model_id!r}: map for image {image.image_id!r} is not a path: {rel!r}"
+                )
+            mpath = root / rel
             if not mpath.is_file():
                 raise ManifestError(f"model {model_id!r}: missing map file {mpath}")
         models.append(ModelEntry(model_id=model_id, maps=dict(maps)))
@@ -235,6 +254,7 @@ def _off_center_points(rng, n, width, height):
     return pts
 
 
+FIXATION_MODELS = ("center-biased", "off-center-blobs")
 STRATIFY_MODES = ("none", "distortions", "complexity")
 
 
@@ -290,7 +310,7 @@ def synth_dataset(
     """
     if num_images < 2:
         raise ValueError("num_images must be >= 2")
-    if fixation_model not in ("center-biased", "off-center-blobs"):
+    if fixation_model not in FIXATION_MODELS:
         raise ValueError(f"unknown fixation_model: {fixation_model}")
     for name in models:
         if name not in BASELINE_MODELS:

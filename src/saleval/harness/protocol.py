@@ -118,7 +118,7 @@ class EvalConfig:
         _check_epsilon(self.epsilon)
         for m in self.metrics:
             if m not in ALL_METRICS:
-                raise ValueError(f"unknown metric: {m}")
+                raise ValueError(f"unknown metric {m!r}; choose from {', '.join(ALL_METRICS)}")
         _check_sign_mode(self.sign_mode)
         _blur_levels(self.blur_sweep)
 

@@ -1,26 +1,34 @@
 """Seeded negative-point sampling for the shuffled metrics.
 
-Every sampling call is a pure function of its inputs plus a 64-bit seed;
+Every draw is a pure function of its inputs plus a 64-bit seed per trial;
 the generator is numpy's PCG64. Per-trial seeds derive from a stable hash
 over (master_seed, image_id, metric_id, trial_index), so any run can be
 replayed bit-for-bit from the recorded plan. Every trial draws one
 negative per fixation of the image under test, as the standard shuffled
-metrics do, so a draw is an (n, 2) int64 array of (x, y) points with n
-the fixation count. The metrics read all trials of one (image, metric) at
-once, as a read-only (trials, n, 2) tensor whose row t is trial t's draw
-(shuffled_draws, uniform_draws); row t equals sample_shuffled_nonfixated
-or sample_uniform_nonfixated with trial t's seed. A tensor depends only
-on the plan's seeds, its source (the pool size, or the frame and the
-fixated pixels) and n, not on the model or the blur level being scored,
-so each one is drawn once and reused while that image's pairs are scored.
+metrics do. The metrics read all trials of one (image, metric) at once,
+as a read-only (trials, n, 2) int64 tensor of (x, y) points with n the
+fixation count (shuffled_draws, uniform_draws). Row t is drawn with
+trial t's seed alone:
+
+- shuffled: the pool is the bank's points of every other image, in
+  image-id order; row t holds the pool points at the n indices
+  Generator(PCG64(seed)).integers(0, pool size, n);
+- uniform: n distinct pixels of the frame that no fixation hits (see
+  _nonfixated_points).
+
+A tensor depends only on the plan's seeds, its source (the pool size, or
+the frame and the fixated pixels) and n, not on the model or the blur
+level being scored, so each one is drawn once and reused while that
+image's pairs are scored.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -34,9 +42,6 @@ __all__ = [
     "TrialPlan",
     "build_shuffle_bank",
     "derive_trial_seed",
-    "pooled_fixations",
-    "sample_shuffled_nonfixated",
-    "sample_uniform_nonfixated",
     "shuffled_draws",
     "shuffled_negative_trials",
     "uniform_draws",
@@ -104,16 +109,16 @@ class ShuffleBank:
     entries maps image_id to that image's fixations rescaled into `frame`.
     The bank is the negative-sample source for the shuffled metrics, so it
     must hold at least two images (excluding the image under test has to
-    leave something to draw from).
+    leave something to draw from), none of them without fixations. The
+    bank joins every entry's points once, in image-id order, and keeps
+    each image's (start, count) in that array, so an image's pool is the
+    joined points with its own span left out.
     """
 
     entries: dict[str, np.ndarray]
     frame: tuple[int, int]
-
-    @functools.cached_property
-    def _kept_pool(self) -> dict[str, np.ndarray]:
-        """The last pool pooled_fixations made, by excluded image; written in place."""
-        return {}
+    _points: np.ndarray = field(init=False, repr=False, compare=False)
+    _spans: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.entries) < 2:
@@ -124,6 +129,13 @@ class ShuffleBank:
                 raise ValueError(f"{image_id}: empty fixation list in bank")
             if pts.min() < 0 or (pts[:, 0] >= w).any() or (pts[:, 1] >= h).any():
                 raise ValueError(f"{image_id}: bank fixation outside {w}x{h} frame")
+        ids = sorted(self.entries)
+        points = np.concatenate([self.entries[i] for i in ids], axis=0)
+        points.setflags(write=False)
+        counts = [len(self.entries[i]) for i in ids]
+        starts = itertools.accumulate(counts, initial=0)
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_spans", dict(zip(ids, zip(starts, counts))))
 
 
 def build_shuffle_bank(dataset: Sequence[FixationSet], frame: tuple[int, int]) -> ShuffleBank:
@@ -146,26 +158,6 @@ def build_shuffle_bank(dataset: Sequence[FixationSet], frame: tuple[int, int]) -
         pts.setflags(write=False)
         entries[fs.image_id] = pts
     return ShuffleBank(entries=entries, frame=(bw, bh))
-
-
-def pooled_fixations(bank: ShuffleBank, exclude: str) -> np.ndarray:
-    """All bank fixations except the excluded image's, multiplicity kept, read-only.
-
-    The bank keeps the last pool made from it, as its entries do not change:
-    the protocol scores one image's candidates in a row, each with every
-    shuffled metric, so that pool serves all of them.
-    """
-    kept = bank._kept_pool
-    pool = kept.get(exclude)
-    if pool is None:
-        pools = [bank.entries[i] for i in sorted(bank.entries) if i != exclude]
-        if not pools:
-            raise ValueError(f"excluding {exclude!r} empties the shuffle bank")
-        pool = np.concatenate(pools, axis=0)
-        pool.setflags(write=False)
-        kept.clear()
-        kept[exclude] = pool
-    return pool
 
 
 def _nonfixated_points(seeds, w: int, h: int, fixated_xy: np.ndarray, n: int) -> np.ndarray:
@@ -206,20 +198,6 @@ def _nonfixated_points(seeds, w: int, h: int, fixated_xy: np.ndarray, n: int) ->
     points = np.stack((chosen % w, chosen // w), axis=-1)
     points.setflags(write=False)
     return points
-
-
-def sample_uniform_nonfixated(fixations: FixationSet, n: int, seed: int) -> np.ndarray:
-    """n distinct pixels drawn uniformly from the non-fixated pixels, read-only."""
-    w, h = fixations.frame
-    return _nonfixated_points((seed,), w, h, fixations.points, n)[0]
-
-
-def sample_shuffled_nonfixated(bank: ShuffleBank, exclude: str, n: int, seed: int) -> np.ndarray:
-    """n points drawn i.i.d. from the pooled fixations of all other images."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    pool = pooled_fixations(bank, exclude)
-    return pool.take(_rng(seed).integers(0, pool.shape[0], size=n), axis=0)
 
 
 def _trial_seeds(fixations: FixationSet, metric_id: str, plan: TrialPlan) -> tuple[int, ...]:
@@ -268,13 +246,17 @@ def shuffled_draws(
 ) -> np.ndarray:
     """Every trial's shuffled draw as one read-only (T, n, 2) array; row t is trial t's.
 
-    The bank must be in the fixations' frame.
+    The bank must be in the fixations' frame. The pool is every bank point
+    outside the image's (start, count) span, so pool index j reads bank
+    point j + (j >= start) * count; an image not in the bank has count 0
+    and draws from the whole bank.
     """
     if tuple(bank.frame) != tuple(fixations.frame):
         raise ValueError(f"shuffle bank frame {bank.frame} is not the fixations' {fixations.frame}")
-    pool = pooled_fixations(bank, fixations.image_id)
+    start, count = bank._spans.get(fixations.image_id, (0, 0))
     seeds = _trial_seeds(fixations, metric_id, plan)
-    points = pool.take(_pool_index_tensor(seeds, pool.shape[0], len(fixations)), axis=0)
+    idx = _pool_index_tensor(seeds, len(bank._points) - count, len(fixations))
+    points = bank._points.take(idx + (idx >= start) * count, axis=0)
     points.setflags(write=False)
     return points
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -7,11 +8,13 @@ import textwrap
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from saleval import cli, maps
 from saleval.cli import main
-from saleval.harness import EvalConfig, EvaluationRecord, emit_report, read_records, stats
+from saleval.harness import EvalConfig, EvaluationRecord, emit_report, read_records, stats, synth_dataset
+from saleval.io import write_pgm
 
 
 @pytest.fixture()
@@ -197,6 +200,15 @@ def test_validate_command(capsys):
     ]
 
 
+def test_synth_flag_defaults_are_the_synth_dataset_defaults(tmp_path, monkeypatch):
+    # what `saleval synth` passes when no flag is given, against the signature's defaults
+    passed = {}
+    monkeypatch.setattr(cli, "synth_dataset", lambda out, **kw: passed.update(kw) or out)
+    assert main(["synth", "--out", str(tmp_path / "ds")]) == 0
+    params = inspect.signature(synth_dataset).parameters.values()
+    assert passed == {p.name: p.default for p in params if p.default is not p.empty}
+
+
 @pytest.mark.parametrize("flag", [["--width", "0"], ["--height", "0"]])
 def test_synth_of_an_empty_frame_is_user_error_and_writes_nothing(tmp_path, monkeypatch, capsys, flag):
     # the fixation draw never ends on an empty frame; fail fast if it is reached
@@ -288,6 +300,46 @@ def test_bad_map_header_is_user_error_naming_the_file(dataset, tmp_path, capsys)
     assert _evaluate(dataset, tmp_path / "out", ["--metrics", "cc"]) == 1
     err = capsys.readouterr().err
     assert "saleval: error:" in err and "img000.pgm: non-integer PGM header value" in err
+    assert not (tmp_path / "out" / "records.csv").exists()
+
+
+def _top_level_array(raw, dataset):
+    return [raw]
+
+
+def _model_entry_string(raw, dataset):
+    raw["models"][0] = "gt_copy"
+    return raw
+
+
+def _map_path_int(raw, dataset):
+    raw["models"][0]["maps"]["img000"] = 7
+    return raw
+
+
+def _float_width(raw, dataset):
+    # a model map of another size sends the float width into resize_map
+    raw["images"][0]["width"] = 48.0
+    write_pgm(dataset / "maps" / "gt_copy" / "img000.pgm", np.zeros((9, 12)))
+    return raw
+
+
+@pytest.mark.parametrize(
+    "malform, message",
+    [
+        (_top_level_array, "top level must be a JSON object"),
+        (_model_entry_string, "malformed model entry 'gt_copy'"),
+        (_map_path_int, "map for image 'img000' is not a path: 7"),
+        (_float_width, "img000: width must be int, not 48.0"),
+    ],
+    ids=["top-level-array", "model-entry-string", "map-path-int", "float-width"],
+)
+def test_malformed_manifest_is_user_error_and_writes_no_records(dataset, tmp_path, capsys, malform, message):
+    manifest = dataset / "manifest.json"
+    manifest.write_text(json.dumps(malform(json.loads(manifest.read_text()), dataset)))
+    assert _evaluate(dataset, tmp_path / "out", ["--metrics", "cc"]) == 1
+    err = capsys.readouterr().err
+    assert "saleval: error:" in err and message in err
     assert not (tmp_path / "out" / "records.csv").exists()
 
 

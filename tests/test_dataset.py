@@ -136,11 +136,12 @@ def test_manifest_rejects_bad_tags(tmp_path):
         load_manifest(path)
 
 
-def test_manifest_rejects_wrong_version(tmp_path):
+@pytest.mark.parametrize("version", [99, True, 1.0, "1"])
+def test_manifest_rejects_wrong_version(tmp_path, version):
     path = synth_dataset(tmp_path / "ds", num_images=2, frame=(16, 12), seed=8,
                          fixations_per_image=4)
     raw = json.loads(path.read_text())
-    raw["manifest_version"] = 99
+    raw["manifest_version"] = version
     path.write_text(json.dumps(raw))
     with pytest.raises(ManifestError, match="manifest_version"):
         load_manifest(path)
@@ -168,6 +169,31 @@ def test_manifest_refuses_a_density_blur_too_wide_to_build(tmp_path, monkeypatch
     path.write_text(json.dumps(raw))
     monkeypatch.setattr(maps, "_gaussian_kernel", lambda sigma: pytest.fail("kernel built"))
     with pytest.raises(ManifestError, match="pixels_per_degree"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: raw.update(images={"img000": {}}), "images must be a JSON array"),
+        (lambda raw: raw.update(models="gt_copy"), "models must be a JSON array"),
+        (lambda raw: raw["images"][0].update(image_id=0), "image_id must be str, not 0"),
+        (lambda raw: raw["images"][0].update(fixation_file=3), "fixation_file must be str, not 3"),
+        (lambda raw: raw["images"][0].update(height=True), "img000: height must be int, not True"),
+        (lambda raw: raw["models"][0].update(model_id=5), "malformed model entry"),
+        # two models' maps would be scored and aggregated under one id
+        (lambda raw: raw["models"][1].update(model_id="gt_copy"), "duplicate model_id 'gt_copy'"),
+    ],
+    ids=["images-object", "models-string", "int-image-id", "int-fixation-file", "bool-height", "int-model-id",
+         "duplicate-model-id"],
+)
+def test_manifest_refuses_a_malformed_field(tmp_path, edit, message):
+    path = synth_dataset(tmp_path / "ds", num_images=2, frame=(16, 12), seed=8,
+                         fixations_per_image=4)
+    raw = json.loads(path.read_text())
+    edit(raw)
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ManifestError, match=message):
         load_manifest(path)
 
 

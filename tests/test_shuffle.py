@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,16 +11,26 @@ from saleval.maps import FixationSet
 from saleval.shuffle import (
     ShuffleBank,
     TrialPlan,
+    _nonfixated_points,
     build_shuffle_bank,
     derive_trial_seed,
-    pooled_fixations,
-    sample_shuffled_nonfixated,
-    sample_uniform_nonfixated,
     shuffled_draws,
     shuffled_negative_trials,
     uniform_draws,
     uniform_negative_trials,
 )
+
+
+def _pool_oracle(entries, image_id, n, seed):
+    """A shuffled draw spelled out: index every other image's points, joined in id order."""
+    pool = np.concatenate([entries[i] for i in sorted(entries) if i != image_id])
+    return pool[np.random.Generator(np.random.PCG64(seed)).integers(0, len(pool), n)]
+
+
+def _uniform_row(fixations, n, seed):
+    """The uniform draw of one seed on its own."""
+    w, h = fixations.frame
+    return _nonfixated_points((seed,), w, h, fixations.points, n)[0]
 
 
 def _bank():
@@ -50,8 +62,28 @@ def test_bank_requires_two_images():
     fs = FixationSet("a", [[1, 1]], (4, 4))
     with pytest.raises(ValueError):
         build_shuffle_bank([fs], (4, 4))
+    with pytest.raises(ValueError, match="at least 2 images"):
+        ShuffleBank({"a": fs.points}, (4, 4))
 
 
+def test_bank_refuses_an_empty_entry_and_a_point_outside_its_frame():
+    b = np.array([[1, 1]])
+    with pytest.raises(ValueError, match="a: empty fixation list"):
+        ShuffleBank({"a": np.empty((0, 2), np.int64), "b": b}, (4, 4))
+    for bad in ([[4, 0]], [[0, 4]], [[-1, 0]]):
+        with pytest.raises(ValueError, match="a: bank fixation outside 4x4 frame"):
+            ShuffleBank({"a": np.array(bad), "b": b}, (4, 4))
+
+
+def test_the_bank_joins_its_points_once_in_id_order():
+    entries = {"b": np.array([[5, 5]]), "c": np.array([[6, 6], [7, 7]]), "a": np.array([[1, 1], [2, 2]])}
+    bank = ShuffleBank(entries, (10, 10))
+    assert bank._points.tolist() == [[1, 1], [2, 2], [5, 5], [6, 6], [7, 7]]
+    assert not bank._points.flags.writeable
+    assert bank._spans == {"a": (0, 2), "b": (2, 1), "c": (3, 2)}
+    # a pickled bank (as a worker process gets it) keeps both
+    again = pickle.loads(pickle.dumps(bank))
+    assert again._spans == bank._spans and np.array_equal(again._points, bank._points)
 def test_seed_derivation_stable_and_distinct():
     s = derive_trial_seed(42, "img", "sauc", 0)
     assert s == derive_trial_seed(42, "img", "sauc", 0)
@@ -66,119 +98,92 @@ def test_seed_derivation_stable_and_distinct():
 
 def test_uniform_excludes_fixations_forced_case():
     fs = FixationSet("a", [[0, 0]], (2, 2))
-    out = sample_uniform_nonfixated(fs, 3, seed=1)
+    out = _uniform_row(fs, 3, seed=1)
     assert sorted(map(tuple, out.tolist())) == [(0, 1), (1, 0), (1, 1)]
-
-
 def test_uniform_deterministic():
     fs = FixationSet("a", [[3, 3], [4, 4]], (32, 32))
-    s1 = sample_uniform_nonfixated(fs, 10, seed=99)
-    s2 = sample_uniform_nonfixated(fs, 10, seed=99)
+    s1 = _uniform_row(fs, 10, seed=99)
+    s2 = _uniform_row(fs, 10, seed=99)
     assert np.array_equal(s1, s2)
-
-
 def test_uniform_never_hits_fixations():
     fs = FixationSet("a", [[x, y] for x in range(8) for y in range(4)], (8, 8))
     fixated = set(map(tuple, fs.points.tolist()))
-    for seed in range(50):
-        out = sample_uniform_nonfixated(fs, 16, seed=seed)
+    for out in _nonfixated_points(range(50), 8, 8, fs.points, 16):
         assert len(set(map(tuple, out.tolist()))) == 16
         assert not fixated & set(map(tuple, out.tolist()))
-
-
 def test_uniform_rejection_branch_distinct_points():
     fs = FixationSet("a", [[0, 0]], (64, 64))
-    out = sample_uniform_nonfixated(fs, 12, seed=5)
+    out = _uniform_row(fs, 12, seed=5)
     assert len(set(map(tuple, out.tolist()))) == 12
     assert (0, 0) not in set(map(tuple, out.tolist()))
-
-
 def test_uniform_n_too_large_rejected():
     fs = FixationSet("a", [[0, 0]], (2, 2))
     with pytest.raises(ValueError):
-        sample_uniform_nonfixated(fs, 4, seed=0)
-
-
+        _uniform_row(fs, 4, seed=0)
 def test_uniform_chi_square_uniformity():
-    # pooled pixel frequencies over many draws on an 8x8 frame
-    fs = FixationSet("a", [[0, 0], [7, 7]], (8, 8))
-    counts = np.zeros(64)
-    draws = 0
-    for seed in range(12500):
-        out = sample_uniform_nonfixated(fs, 8, seed=seed)
-        flat = out[:, 1] * 8 + out[:, 0]
-        np.add.at(counts, flat, 1)
-        draws += 8
+    # pooled pixel frequencies over many draws on an 8x8 frame, all in one call
+    fixated = np.array([[0, 0], [7, 7]])
+    out = _nonfixated_points(range(12500), 8, 8, fixated, 8)
+    counts = np.bincount((out[..., 1] * 8 + out[..., 0]).ravel(), minlength=64)
     eligible = np.ones(64, bool)
     eligible[[0, 63]] = False
     assert counts[~eligible].sum() == 0
     _, p = stats.chisquare(counts[eligible])
     assert p > 0.01
-
-
 def test_shuffled_source_correctness():
     bank = _bank()
-    pool = set(map(tuple, pooled_fixations(bank, "a").tolist()))
-    out = sample_shuffled_nonfixated(bank, "a", 50, seed=3)
-    assert set(map(tuple, out.tolist())) <= pool
-    assert out.shape == (50, 2)
+    pool = set(map(tuple, bank.entries["b"].tolist()))
+    fs = FixationSet("a", bank.entries["a"], (10, 10))
+    out = shuffled_draws(bank, fs, "sauc", TrialPlan(num_trials=20, master_seed=3))
+    assert set(map(tuple, out.reshape(-1, 2).tolist())) <= pool
+    assert out.shape == (20, 3, 2)
 
 
-def test_the_bank_keeps_the_last_pool_read_only():
-    bank = _bank()
-    pool = pooled_fixations(bank, "a")
-    assert pooled_fixations(bank, "a") is pool
-    assert not pool.flags.writeable
-    assert pool.tolist() == bank.entries["b"].tolist()
-    assert pooled_fixations(bank, "b").tolist() == bank.entries["a"].tolist()
-    again = pooled_fixations(bank, "a")  # made again: only the last pool is kept
-    assert again is not pool and again.tolist() == pool.tolist()
-
-
+@pytest.mark.parametrize("image_id", ["a", "c", "e", "0", "zz"], ids=["first", "middle", "last", "absent-first", "absent-last"])
+def test_shuffled_draws_match_the_per_image_pool_oracle(image_id):
+    # uneven counts, given out of id order; an absent id draws from the whole bank
+    rng = np.random.default_rng(13)
+    counts = {"d": 7, "b": 1, "e": 12, "a": 3, "c": 2}
+    entries = {
+        i: np.column_stack((rng.integers(0, 20, k), rng.integers(0, 15, k))) for i, k in counts.items()
+    }
+    bank = ShuffleBank(entries, (20, 15))
+    plan = TrialPlan(num_trials=25, master_seed=5)
+    for n in (1, 4, 9):
+        fs = FixationSet(image_id, np.column_stack((np.arange(n), np.arange(n))), (20, 15))
+        for metric in ("sauc", "semd"):
+            draws = shuffled_draws(bank, fs, metric, plan)
+            assert draws.shape == (25, n, 2) and draws.dtype == np.int64
+            for t, row in enumerate(draws):
+                want = _pool_oracle(entries, image_id, n, derive_trial_seed(5, image_id, metric, t))
+                assert np.array_equal(row, want)
 def test_shuffled_deterministic():
     bank = _bank()
-    s1 = sample_shuffled_nonfixated(bank, "b", 7, seed=11)
-    s2 = sample_shuffled_nonfixated(bank, "b", 7, seed=11)
-    assert np.array_equal(s1, s2)
-
-
+    fs = FixationSet("b", bank.entries["b"], (10, 10))
+    plan = TrialPlan(num_trials=7, master_seed=11)
+    s1 = shuffled_draws(bank, fs, "snss", plan)
+    shuffle._pool_index_tensor.cache_clear()
+    s2 = shuffled_draws(_bank(), fs, "snss", plan)
+    assert s1 is not s2 and np.array_equal(s1, s2)
 def test_shuffled_forced_source():
     # excluding one of two images forces every sample onto the other's points
     a = FixationSet("a", [[1, 1]], (4, 4))
     b = FixationSet("b", [[2, 2], [3, 3]], (4, 4))
     bank = build_shuffle_bank([a, b], (4, 4))
-    out = sample_shuffled_nonfixated(bank, "a", 20, seed=0)
-    assert set(map(tuple, out.tolist())) <= {(2, 2), (3, 3)}
-
-
-def test_pooled_fixations_empty_exclusion_rejected():
-    # the >= 2 image invariant makes this unreachable via a built bank, so
-    # poke the guard directly with a hand-rigged single-entry bank
-    bank = _bank()
-    rigged = object.__new__(ShuffleBank)
-    object.__setattr__(rigged, "entries", {"a": bank.entries["a"]})
-    object.__setattr__(rigged, "frame", bank.frame)
-    with pytest.raises(ValueError):
-        pooled_fixations(rigged, "a")
-
-
+    out = shuffled_draws(bank, a, "sauc", TrialPlan(num_trials=20))
+    assert set(map(tuple, out.reshape(-1, 2).tolist())) <= {(2, 2), (3, 3)}
 def test_shuffled_multiplicity_chi_square():
     # pooled draws should follow the multiplicity of the source fixations
     a = FixationSet("a", [[0, 0]], (4, 4))
     b = FixationSet("b", [[1, 1], [1, 1], [2, 2]], (4, 4))
     bank = build_shuffle_bank([a, b], (4, 4))
-    counts = {(1, 1): 0, (2, 2): 0}
+    hundred = FixationSet("a", [[0, 0]] * 100, (4, 4))  # 100 negatives per trial
+    out = shuffled_draws(bank, hundred, "snss", TrialPlan(num_trials=300)).reshape(-1, 2)
     n_draws = 30000
-    for seed in range(300):
-        out = sample_shuffled_nonfixated(bank, "a", 100, seed=seed)
-        for p in map(tuple, out.tolist()):
-            counts[p] += 1
-    _, p_val = stats.chisquare(
-        [counts[(1, 1)], counts[(2, 2)]], [n_draws * 2 / 3, n_draws * 1 / 3]
-    )
+    counts = [int((out == p).all(axis=1).sum()) for p in ([1, 1], [2, 2])]
+    assert sum(counts) == n_draws
+    _, p_val = stats.chisquare(counts, [n_draws * 2 / 3, n_draws * 1 / 3])
     assert p_val > 0.01
-
-
 def test_trial_plan_defaults_and_digest():
     plan = TrialPlan()
     assert (plan.num_trials, plan.master_seed) == (100, 0)
@@ -199,7 +204,7 @@ def test_trials_are_independent_and_indexed():
     # the t-th draw is the one seeded by trial t
     for t, sample in enumerate(samples):
         seed = derive_trial_seed(7, "a", "snss", t)
-        assert np.array_equal(sample, sample_shuffled_nonfixated(bank, "a", 3, seed))
+        assert np.array_equal(sample, _pool_oracle(bank.entries, "a", 3, seed))
     # distinct seeds should yield at least one differing sample
     assert any(not np.array_equal(samples[0], s) for s in samples[1:])
 
@@ -216,9 +221,8 @@ def test_shuffled_draws_are_memoized_without_changing_them(monkeypatch):
     bank = _bank()
     fs = FixationSet("a", [[1, 1], [2, 2], [3, 3], [4, 4]], (10, 10))  # n = 4 negatives per trial
     plan = TrialPlan(num_trials=6, master_seed=11)
-    pool = pooled_fixations(bank, "a")
     seeds = [derive_trial_seed(11, "a", "sauc", t) for t in range(6)]
-    fresh = [pool[np.random.Generator(np.random.PCG64(s)).integers(0, len(pool), size=4)] for s in seeds]
+    fresh = [_pool_oracle(bank.entries, "a", 4, s) for s in seeds]
     constructions = _counting_rng(monkeypatch)
     shuffle._pool_index_tensor.cache_clear()
     cold = shuffled_draws(bank, fs, "sauc", plan)
@@ -227,7 +231,6 @@ def test_shuffled_draws_are_memoized_without_changing_them(monkeypatch):
     assert cold.shape == warm.shape == (6, 4, 2)
     for t, want in enumerate(fresh):
         assert np.array_equal(want, cold[t]) and np.array_equal(want, warm[t])
-        assert np.array_equal(want, sample_shuffled_nonfixated(bank, "a", 4, seeds[t]))
     assert all(np.array_equal(a, b) for a, b in zip(cold, shuffled_negative_trials(bank, fs, "sauc", plan)))
 
 
@@ -254,8 +257,8 @@ def test_memoized_draws_are_read_only_and_keyed_by_pool_and_n(monkeypatch):
     assert shuffle._pool_index_tensor.cache_info().currsize == 3
     assert other_n.shape == (3, 5, 2) and not other_n.flags.writeable
     for t, seed in enumerate(constructions[:3]):
-        assert np.array_equal(other_pool[t], sample_shuffled_nonfixated(more, "a", 4, seed))
-        assert np.array_equal(other_n[t], sample_shuffled_nonfixated(bank, "a", 5, seed))
+        assert np.array_equal(other_pool[t], _pool_oracle(more.entries, "a", 4, seed))
+        assert np.array_equal(other_n[t], _pool_oracle(bank.entries, "a", 5, seed))
 
 
 def test_uniform_draws_are_memoized_without_changing_them(monkeypatch):
@@ -266,8 +269,8 @@ def test_uniform_draws_are_memoized_without_changing_them(monkeypatch):
     permutation = [[7, 0], [1, 5], [4, 3], [3, 0], [1, 2], [0, 3], [0, 4], [3, 1], [5, 0],
                    [5, 1], [5, 5], [0, 5], [6, 1], [0, 0], [2, 6], [6, 2], [1, 1], [3, 2],
                    [5, 3], [3, 4]]
-    assert sample_uniform_nonfixated(fs, 6, seed=2024).tolist() == rejection
-    assert sample_uniform_nonfixated(fs, 20, seed=2024).tolist() == permutation
+    assert _uniform_row(fs, 6, seed=2024).tolist() == rejection
+    assert _uniform_row(fs, 20, seed=2024).tolist() == permutation
     plan = TrialPlan(num_trials=5, master_seed=7)
     seeds = [derive_trial_seed(7, "a", "auc_f", t) for t in range(5)]
     # n fixations draw n negatives: 6 of 57 free pixels rejects, 20 of 43 permutes
@@ -281,7 +284,7 @@ def test_uniform_draws_are_memoized_without_changing_them(monkeypatch):
         assert constructions == seeds  # the second call built no generator
         monkeypatch.undo()
         for t, seed in enumerate(seeds):
-            assert np.array_equal(cold[t], sample_uniform_nonfixated(fs_n, n, seed))
+            assert np.array_equal(cold[t], _uniform_row(fs_n, n, seed))
         assert all(np.array_equal(a, b) for a, b in zip(cold, uniform_negative_trials(fs_n, "auc_f", plan)))
     # the pinned draws are the rows of a tensor made with their seed
     for n, pinned in ((6, rejection), (20, permutation)):
@@ -315,7 +318,7 @@ def test_memoized_uniform_draws_are_read_only_and_keyed_by_fixations_frame_and_n
     for source, tensor in others:
         assert not tensor.flags.writeable
         for t, seed in enumerate(seeds):
-            assert np.array_equal(tensor[t], sample_uniform_nonfixated(source, tensor.shape[1], seed))
+            assert np.array_equal(tensor[t], _uniform_row(source, tensor.shape[1], seed))
 
 
 def test_trial_plan_refuses_non_integral_fields():
