@@ -147,15 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_evaluate(args) -> int:
     out = _out_dir(args)
     # the flags are checked before any file is read
-    config = EvalConfig(
-        trials=args.trials,
-        bins=args.bins,
-        epsilon=args.epsilon,
-        emd_saturation=args.emd_saturation,
-        blur_sweep=args.blur_sweep,
-        metrics=args.metrics,
-        sign_mode=args.sign_mode,
-    )
+    config = EvalConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(EvalConfig)})
     plan = TrialPlan(num_trials=args.trials, master_seed=args.seed)
     manifest = load_manifest(args.manifest)
     records = evaluate_batch(manifest, config, plan, jobs=args.jobs)

@@ -260,16 +260,13 @@ STRATIFY_MODES = ("none", "distortions", "complexity")
 
 def _stratum_tags(stratify: str, index: int) -> tuple[str, str, str]:
     # stratify is one of STRATIFY_MODES, checked before anything is written
+    # each vocabulary's first entry is the untagged one
     if stratify == "none":
-        return "none", "none", "unspecified"
-    levels = ("low", "medium", "high")
+        return DISTORTION_TYPES[0], DISTORTION_LEVELS[0], COMPLEXITIES[0]
+    row, level = divmod(index % 9, 3)
     if stratify == "distortions":
-        types = ("blur", "jpeg", "noise")
-        cell = index % 9
-        return types[cell // 3], levels[cell % 3], "unspecified"
-    complexities = ("easy", "medium", "hard")
-    cell = index % 9
-    return "blur", levels[cell % 3], complexities[cell // 3]
+        return DISTORTION_TYPES[1 + row], DISTORTION_LEVELS[1 + level], COMPLEXITIES[0]
+    return DISTORTION_TYPES[1], DISTORTION_LEVELS[1 + level], COMPLEXITIES[1 + row]
 
 
 BASELINE_MODELS = ("gt_copy", "center_gauss", "inverted_gt", "gt_noisy", "gt_blurred")

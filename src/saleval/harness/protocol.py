@@ -78,30 +78,20 @@ SHUFFLED_METRICS = ("sauc", "snss", "sskld", "sjsd", "semd")
 ALL_METRICS = tuple(_METRICS)
 
 
-def _blur_levels(sweep) -> list[float]:
-    """The sweep's distinct sigmas as Python floats, ascending; the smallest must be exactly 0."""
-    levels = sorted(set(map(float, sweep)))
-    if not levels or levels[0] != 0 or not all(map(math.isfinite, levels)):
-        raise ValueError(
-            f"blur sweep must be non-empty, contain 0 and be finite and >= 0: {tuple(sweep)}"
-        )
-    try:
-        check_blur_sigma(levels[-1])
-    except ValueError as exc:
-        raise ValueError(f"blur sweep {tuple(sweep)}: {exc}") from None
-    return levels
-
-
 @dataclass(frozen=True)
 class EvalConfig:
-    """Knobs of the evaluation protocol; echoed verbatim into every report.
+    """Knobs of the evaluation protocol, each echoed into every report as it is stored.
 
-    The blur sweep must be non-empty, contain 0 (so "no blur" is always a
-    candidate) and hold no negative or non-finite sigma, nor one whose
-    kernel would pass maps.MAX_BLUR_RADIUS. trials, emd_saturation (both
-    >= 1) and bins (>= 2) must be integers, and epsilon finite and > 0. A
-    config that breaks these rules, names an unknown metric or an unknown
-    sign mode is refused when built.
+    Each is stored in the form the protocol runs: blur_sweep as its
+    distinct sigmas, ascending Python floats (the levels the search blurs
+    at), metrics as a tuple, epsilon as a plain float and the counts as
+    plain ints. The blur sweep must be non-empty, contain 0 (so "no blur"
+    is always a candidate) and hold no negative or non-finite sigma, nor
+    one whose kernel would pass maps.MAX_BLUR_RADIUS. trials,
+    emd_saturation (both >= 1) and bins (>= 2) must be integers, and
+    epsilon a finite number > 0, not a bool. A config that breaks these
+    rules, names no metric, an unknown metric or one metric twice, or an
+    unknown sign mode is refused when built.
     """
 
     trials: int = 100
@@ -115,12 +105,24 @@ class EvalConfig:
     def __post_init__(self):
         for name, least in (("trials", 1), ("bins", 2), ("emd_saturation", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        _check_epsilon(self.epsilon)
-        for m in self.metrics:
+        object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
+        metrics = tuple(self.metrics)
+        for m in metrics:
             if m not in ALL_METRICS:
                 raise ValueError(f"unknown metric {m!r}; choose from {', '.join(ALL_METRICS)}")
+        if not metrics or len(set(metrics)) < len(metrics):
+            raise ValueError(f"metrics must name at least one metric, each once: {metrics}")
+        object.__setattr__(self, "metrics", metrics)
         _check_sign_mode(self.sign_mode)
-        _blur_levels(self.blur_sweep)
+        sweep = tuple(self.blur_sweep)
+        levels = tuple(sorted(set(map(float, sweep))))
+        if not levels or levels[0] != 0 or not all(map(math.isfinite, levels)):
+            raise ValueError(f"blur sweep must be non-empty, contain 0 and be finite and >= 0: {sweep}")
+        try:
+            check_blur_sigma(levels[-1])
+        except ValueError as exc:
+            raise ValueError(f"blur sweep {sweep}: {exc}") from None
+        object.__setattr__(self, "blur_sweep", levels)
 
 
 @dataclass(frozen=True)
@@ -191,10 +193,7 @@ def evaluate_pair(
         g = prepare(g)
     # a normalized map and its blurs are valid by construction: checked once, by resize_map
     s0 = _frozen(normalize_map(resize_map(s_raw, image.width, image.height)))
-    candidates = (
-        (sigma, _frozen(gaussian_blur(s0, sigma)))
-        for sigma in _blur_levels(config.blur_sweep)
-    )
+    candidates = ((sigma, _frozen(gaussian_blur(s0, sigma))) for sigma in config.blur_sweep)
     scorers = [
         lambda m, score=_METRICS[metric].score: score(m, fix, g, bank, plan, config)
         for metric in config.metrics
@@ -260,8 +259,7 @@ def evaluate_batch(
     may use (see ``maps.gaussian_blur``). Needs at least 2 images (the
     shuffled metrics' negative source).
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1: {jobs}")
+    jobs = _integer("jobs", jobs, 1)
     if len(manifest.images) < 2:
         raise ValueError("evaluation needs at least 2 images")
     banks: dict[tuple[int, int], ShuffleBank] = {}

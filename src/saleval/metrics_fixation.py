@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .maps import FixationSet, PreparedMap, prepare, values_at
-from .shuffle import ShuffleBank, TrialPlan, shuffled_draws, uniform_draws
+from .shuffle import ShuffleBank, TrialPlan, _integer, shuffled_draws, uniform_draws
 
 __all__ = [
     "MetricScore",
@@ -153,8 +153,7 @@ def sim(s, g, bins: int = 256) -> float:
     s = prepare(s)
     g = prepare(g)
     _check_shapes(s, g)
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+    bins = _integer("bins", bins, 2)
     hg = g.derived(("sim", bins), lambda m: _sim_masses(np.sort(m.values, axis=None), bins))
     return float(np.minimum(_sim_masses(_ascending(s), bins), hg).sum())
 

@@ -83,9 +83,11 @@ def _masses(p, q) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
     return p, q, *lists
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0):
+def _check_epsilon(epsilon: float) -> float:
+    """epsilon as a plain float; refused unless it is a finite number > 0 (not a bool)."""
+    if isinstance(epsilon, bool) or not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and > 0, not {epsilon!r}")
+    return float(epsilon)
 
 
 def _skld_rows(p: np.ndarray, q: np.ndarray, epsilon: float) -> np.ndarray:

@@ -343,6 +343,24 @@ def test_malformed_manifest_is_user_error_and_writes_no_records(dataset, tmp_pat
     assert not (tmp_path / "out" / "records.csv").exists()
 
 
+def test_repeated_metric_is_user_error_before_any_file_is_read(dataset, tmp_path, capsys, monkeypatch):
+    # a repeated metric wrote two identical cc rows per pair
+    monkeypatch.setattr(cli, "load_manifest", lambda path: pytest.fail("manifest read"))
+    assert _evaluate(dataset, tmp_path / "out", ["--metrics", "cc,cc,nss"]) == 1
+    err = capsys.readouterr().err
+    assert "saleval: error:" in err and "each once" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unsorted_repeated_blur_sweep_runs_and_echoes_the_sorted_levels(dataset, tmp_path):
+    for name, sweep in (("raw", "2,0,1,1"), ("sorted", "0,1,2")):
+        assert _evaluate(dataset, tmp_path / name, ["--blur-sweep", sweep]) == 0
+    raw, ordered = (tmp_path / "raw", tmp_path / "sorted")
+    assert (raw / "records.csv").read_bytes() == (ordered / "records.csv").read_bytes()
+    echo = json.loads((raw / "summary.json").read_text())["config"]
+    assert echo["blur_sweep"] == [0.0, 1.0, 2.0]
+
+
 def test_unknown_metric_is_user_error():
     assert main(["evaluate", "--manifest", "x", "--out", "y", "--metrics", "vibes"]) == 1
 

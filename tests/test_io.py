@@ -101,6 +101,14 @@ def test_pgm_write_rejects_out_of_range(tmp_path):
         write_pgm(tmp_path / "x.pgm", np.array([[1.5]]))
 
 
+@pytest.mark.parametrize("maxval", [255.5, True, 0, 65536])
+def test_pgm_write_refuses_a_maxval_that_read_pgm_would_refuse(tmp_path, maxval):
+    # 255.5 was written into the header, and read_pgm then refused the file
+    with pytest.raises(ValueError, match="maxval"):
+        write_pgm(tmp_path / "x.pgm", np.zeros((2, 2)), maxval=maxval)
+    assert not (tmp_path / "x.pgm").exists()
+
+
 def test_fixation_round_trip(tmp_path):
     fs = FixationSet("img7", [[3, 4], [0, 0], [9, 5]], (10, 6))
     path = tmp_path / "img7.txt"

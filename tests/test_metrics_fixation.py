@@ -154,6 +154,13 @@ def test_sim_disjoint_ranges_zero():
     assert sim(lo, hi, bins=4) == 0.0
 
 
+@pytest.mark.parametrize("bins", [1, 2.5, True])
+def test_sim_refuses_bins_that_are_not_integers_from_two(bins):
+    # 2.5 raised a TypeError inside numpy, where the histogram metrics refuse it
+    with pytest.raises(ValueError, match="bins must be"):
+        sim(np.ones((4, 4)) * 0.5, np.ones((4, 4)) * 0.5, bins=bins)
+
+
 def test_sim_matches_hand_histogram():
     s = np.array([[0.1, 0.3], [0.6, 0.9]])
     g = np.array([[0.2, 0.2], [0.7, 0.7]])

@@ -286,7 +286,7 @@ def test_sjsd_in_unit_interval_and_positive_for_gt(trial_rows):
     assert score.value == vals.mean()
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf"), True])
 def test_sskld_refuses_a_bad_epsilon(epsilon):
     # an epsilon of 0 made every trial nan, a negative one finite wrong scores
     fix, bank, g = _blob_setup()

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from saleval import auc_f, auc_s, cc, emd_hat, maps, sauc, semd, shuffle, sim, sjsd, snss, sskld
+from saleval.cli import build_parser
 from saleval.errors import DegenerateInputError
 from saleval.harness import (
     ALL_METRICS,
@@ -100,6 +102,22 @@ def test_kernel_defaults_are_the_protocol_defaults():
     assert defaults(sjsd) == {"bins": config.bins}
     assert defaults(semd) == {"bins": config.bins, "saturation": config.emd_saturation}
     assert defaults(emd_hat) == {"saturation": config.emd_saturation}
+
+
+def test_every_config_field_is_an_evaluate_flag_with_its_default():
+    # `saleval evaluate` builds its EvalConfig from the flags whose dest is a field name
+    args = build_parser().parse_args(["evaluate", "--manifest", "unused"])
+    config = EvalConfig()
+    for field in dataclasses.fields(EvalConfig):
+        assert getattr(args, field.name) == getattr(config, field.name), field.name
+
+
+def test_config_stores_the_sweep_the_search_runs():
+    config = EvalConfig(blur_sweep=(2, 0, 1, 1))
+    assert config == EvalConfig(blur_sweep=(0.0, 1.0, 2.0))
+    assert config.blur_sweep == (0.0, 1.0, 2.0)
+    for sweep in (config.blur_sweep, EvalConfig(blur_sweep=np.array([1.0, 0.0])).blur_sweep):
+        assert all(type(s) is float for s in sweep)
 
 
 def _tiny_setup(tmp_path, **kw):
@@ -217,9 +235,18 @@ def test_config_validates_metrics():
             EvalConfig(blur_sweep=sweep)
 
 
+def test_config_refuses_no_metric_or_a_repeated_one():
+    # a repeated metric wrote two identical rows per pair; no metric ran a batch for no records
+    for metrics in ((), ("cc", "cc", "nss")):
+        with pytest.raises(ValueError, match="each once"):
+            EvalConfig(metrics=metrics)
+    assert EvalConfig(metrics=["cc", "nss"]).metrics == ("cc", "nss")
+
+
 def test_config_refuses_bad_numeric_knobs():
     bad = [
         ("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", float("nan")), ("epsilon", float("inf")),
+        ("epsilon", True),
         ("bins", 1), ("bins", 2.5), ("bins", True), ("bins", 16.0),
         ("emd_saturation", 0), ("emd_saturation", 1.5), ("emd_saturation", False),
         ("trials", 0), ("trials", 2.5), ("trials", True),
@@ -227,10 +254,13 @@ def test_config_refuses_bad_numeric_knobs():
     for field, value in bad:
         with pytest.raises(ValueError, match=field):
             EvalConfig(**{field: value})
-    # numpy integers are kept as int, so the config echoes into JSON unchanged
-    config = EvalConfig(trials=np.int64(7), bins=np.int32(2), emd_saturation=np.uint8(1))
-    assert config == EvalConfig(trials=7, bins=2, emd_saturation=1)
+    # numpy numbers are kept as int and float, so the config echoes into JSON unchanged
+    config = EvalConfig(
+        trials=np.int64(7), bins=np.int32(2), emd_saturation=np.uint8(1), epsilon=np.float32(0.5)
+    )
+    assert config == EvalConfig(trials=7, bins=2, emd_saturation=1, epsilon=0.5)
     assert all(type(v) is int for v in (config.trials, config.bins, config.emd_saturation))
+    assert type(config.epsilon) is float
 
 
 def test_plan_must_run_the_configured_trials(tmp_path):
@@ -251,6 +281,16 @@ def test_evaluate_batch_refuses_jobs_below_one(tmp_path):
     config = EvalConfig(trials=3, blur_sweep=(0.0,), metrics=("sauc",))
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs"):
+            evaluate_batch(manifest, config, plan, jobs=jobs)
+
+
+def test_evaluate_batch_refuses_a_jobs_that_is_not_an_int(tmp_path):
+    # 1.5 failed inside the process pool, and True ran as one job
+    manifest, _ = _tiny_setup(tmp_path)
+    plan = TrialPlan(num_trials=3, master_seed=5)
+    config = EvalConfig(trials=3, blur_sweep=(0.0,), metrics=("sauc",))
+    for jobs in (1.5, True):
+        with pytest.raises(ValueError, match="jobs must be an integer"):
             evaluate_batch(manifest, config, plan, jobs=jobs)
 
 
