@@ -24,6 +24,8 @@ from ..errors import DegenerateInputError
 from ..maps import (
     FixationSet,
     _frozen,
+    _integer,
+    _is_real,
     _nd_image,
     check_blur_sigma,
     density_from_fixations,
@@ -34,7 +36,7 @@ from ..maps import (
 )
 from ..metrics_fixation import auc_f, auc_s, cc, nss, sauc, sim, snss
 from ..metrics_histogram import _check_epsilon, _check_sign_mode, semd, sjsd, sskld
-from ..shuffle import ShuffleBank, TrialPlan, _integer, build_shuffle_bank
+from ..shuffle import ShuffleBank, TrialPlan, build_shuffle_bank
 from .dataset import DatasetManifest, ImageEntry
 
 __all__ = [
@@ -83,15 +85,16 @@ class EvalConfig:
     """Knobs of the evaluation protocol, each echoed into every report as it is stored.
 
     Each is stored in the form the protocol runs: blur_sweep as its
-    distinct sigmas, ascending Python floats (the levels the search blurs
-    at), metrics as a tuple, epsilon as a plain float and the counts as
-    plain ints. The blur sweep must be non-empty, contain 0 (so "no blur"
-    is always a candidate) and hold no negative or non-finite sigma, nor
-    one whose kernel would pass maps.MAX_BLUR_RADIUS. trials,
-    emd_saturation (both >= 1) and bins (>= 2) must be integers, and
-    epsilon a finite number > 0, not a bool. A config that breaks these
-    rules, names no metric, an unknown metric or one metric twice, or an
-    unknown sign mode is refused when built.
+    distinct sigmas, ascending Python floats with -0.0 stored as 0.0 (the
+    levels the search blurs at), metrics as a tuple, epsilon as a plain
+    float and the counts as plain ints. blur_sweep and metrics must be
+    sequences other than a str. The blur sweep must be non-empty, contain
+    0 (so "no blur" is always a candidate) and hold only real numbers (no
+    bool), none negative or non-finite, nor one whose kernel would pass
+    maps.MAX_BLUR_RADIUS. trials, emd_saturation (both >= 1) and bins
+    (>= 2) must be integers, and epsilon a finite number > 0, not a bool.
+    A config that breaks these rules, names no metric, an unknown metric
+    or one metric twice, or an unknown sign mode is refused when built.
     """
 
     trials: int = 100
@@ -106,7 +109,7 @@ class EvalConfig:
         for name, least in (("trials", 1), ("bins", 2), ("emd_saturation", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
-        metrics = tuple(self.metrics)
+        metrics = _items("metrics", self.metrics)
         for m in metrics:
             if m not in ALL_METRICS:
                 raise ValueError(f"unknown metric {m!r}; choose from {', '.join(ALL_METRICS)}")
@@ -114,8 +117,11 @@ class EvalConfig:
             raise ValueError(f"metrics must name at least one metric, each once: {metrics}")
         object.__setattr__(self, "metrics", metrics)
         _check_sign_mode(self.sign_mode)
-        sweep = tuple(self.blur_sweep)
-        levels = tuple(sorted(set(map(float, sweep))))
+        sweep = _items("blur_sweep", self.blur_sweep)
+        if not all(map(_is_real, sweep)):
+            raise ValueError(f"blur_sweep must hold real numbers, not {sweep}")
+        # + 0.0 turns a -0.0 into 0.0, which the set would otherwise keep if it came first
+        levels = tuple(sorted({float(x) + 0.0 for x in sweep}))
         if not levels or levels[0] != 0 or not all(map(math.isfinite, levels)):
             raise ValueError(f"blur sweep must be non-empty, contain 0 and be finite and >= 0: {sweep}")
         try:
@@ -123,6 +129,16 @@ class EvalConfig:
         except ValueError as exc:
             raise ValueError(f"blur sweep {sweep}: {exc}") from None
         object.__setattr__(self, "blur_sweep", levels)
+
+
+def _items(name: str, value) -> tuple:
+    """value's items as a tuple; refused unless it is an iterable other than a str."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a sequence, not {value!r}")
 
 
 @dataclass(frozen=True)

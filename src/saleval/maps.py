@@ -37,6 +37,7 @@ costs about what it saves.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -62,6 +63,20 @@ __all__ = [
 
 # sigma = FWHM / (2 * sqrt(2 * ln 2))
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+
+
+def _integer(name: str, value, least: int | None = None) -> int:
+    """value as a plain int; refused unless it is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
+
+
+def _is_real(value) -> bool:
+    """Whether value is a real number, numpy's included, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def as_map(values) -> np.ndarray:
@@ -189,10 +204,17 @@ def resize_map(m, target_w: int, target_h: int) -> np.ndarray:
     just closeness: integer-factor downscales put weights of exactly 0.5 on
     16-bit maps, and a 3e-16 difference flips ``write_pgm``'s ``np.rint``
     by one level.
+
+    The row and column gathers write into buffers allocated once, and pass
+    ``mode="clip"``: every index is already in range, so the values are
+    those of numpy's default ``mode="raise"``, but with ``out=`` that mode
+    gathers into a hidden buffer of the output's size and copies it over
+    (at 512x768 on a 2-core x86-64 host, 3.1 MB and 0.85 ms per column
+    gather, against none and 0.30 ms).
     """
     m = as_map(m)
-    if target_w < 1 or target_h < 1:
-        raise ValueError("target dimensions must be >= 1")
+    target_w = _integer("target_w", target_w, 1)
+    target_h = _integer("target_h", target_h, 1)
     h, w = m.shape
     if (target_h, target_w) == (h, w):
         return m.copy()
@@ -202,10 +224,11 @@ def resize_map(m, target_w: int, target_h: int) -> np.ndarray:
     x0, wx0, wx1, x1 = _linear_taps(xs, w)
     out = np.zeros((target_h, target_w))
     term = np.empty_like(out)
+    band = np.empty((target_h, w))
     for rows, wy in ((y0, wy0[:, None]), (y1, wy1[:, None])):
-        band = m[rows]
+        np.take(m, rows, axis=0, out=band, mode="clip")
         for cols, wx in ((x0, wx0), (x1, wx1)):
-            np.take(band, cols, axis=1, out=term)
+            np.take(band, cols, axis=1, out=term, mode="clip")
             term *= wy
             term *= wx
             out += term

@@ -29,9 +29,9 @@ import math
 import numpy as np
 
 from .flow import min_cost_transport
-from .maps import FixationSet
+from .maps import FixationSet, _integer, _is_real
 from .metrics_fixation import MetricScore, _row_counts, _snss_rows, _trial_samples
-from .shuffle import ShuffleBank, TrialPlan, _integer, shuffled_draws
+from .shuffle import ShuffleBank, TrialPlan, shuffled_draws
 
 __all__ = [
     "SIGN_MODES",
@@ -85,7 +85,7 @@ def _masses(p, q) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
 
 def _check_epsilon(epsilon: float) -> float:
     """epsilon as a plain float; refused unless it is a finite number > 0 (not a bool)."""
-    if isinstance(epsilon, bool) or not (math.isfinite(epsilon) and epsilon > 0):
+    if not _is_real(epsilon) or not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and > 0, not {epsilon!r}")
     return float(epsilon)
 

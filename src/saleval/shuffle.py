@@ -27,13 +27,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .maps import FixationSet
+from .maps import FixationSet, _integer
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -65,15 +64,6 @@ def derive_trial_seed(master_seed: int, image_id: str, metric_id: str, trial_ind
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def _integer(name: str, value, least: int | None = None) -> int:
-    """value as a plain int; refused unless it is an integer (not a bool) >= least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}")
-    return int(value)
 
 
 @dataclass(frozen=True)

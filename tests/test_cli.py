@@ -361,6 +361,13 @@ def test_unsorted_repeated_blur_sweep_runs_and_echoes_the_sorted_levels(dataset,
     assert echo["blur_sweep"] == [0.0, 1.0, 2.0]
 
 
+def test_negative_zero_blur_level_writes_the_bytes_of_zero(dataset, tmp_path):
+    assert _evaluate(dataset, tmp_path / "neg", ["--blur-sweep=-0,1"]) == 0
+    assert _evaluate(dataset, tmp_path / "pos", ["--blur-sweep", "0,1"]) == 0
+    for name in ("records.csv", "summary.json", "rankings.csv"):
+        assert (tmp_path / "neg" / name).read_bytes() == (tmp_path / "pos" / name).read_bytes()
+
+
 def test_unknown_metric_is_user_error():
     assert main(["evaluate", "--manifest", "x", "--out", "y", "--metrics", "vibes"]) == 1
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,30 @@ def test_resize_is_map_coordinates_bit_for_bit(levels, shape, target):
 def test_resize_rejects_zero_target():
     with pytest.raises(ValueError):
         resize_map(np.ones((2, 2)), 0, 2)
+
+
+@pytest.mark.parametrize(
+    "target, field",
+    [((2.5, 3), "target_w"), ((True, 3), "target_w"), ((3, 3.0), "target_h"), ((3, "3"), "target_h")],
+)
+def test_resize_refuses_a_target_that_is_not_an_integer(target, field):
+    with pytest.raises(ValueError, match=field):
+        resize_map(np.ones((2, 2)), *target)
+
+
+def test_resize_allocates_two_output_maps_and_one_row_band():
+    m = np.random.default_rng(8).random((128, 192))
+    out_bytes = 512 * 768 * 8
+    band_bytes = 512 * 192 * 8  # the source columns of every output row
+    # the tap vectors and the input's checks scale with the sides, not the area
+    slack = out_bytes // 16
+    tracemalloc.start()
+    try:
+        resize_map(m, 768, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out_bytes + band_bytes + slack
 
 
 def test_blur_sigma_zero_identity():

@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from saleval import metrics_fixation
 from saleval.errors import DegenerateInputError
 from saleval.maps import (
     FixationSet,
     centered_gaussian_baseline,
     density_from_fixations,
     invert_map,
+    prepare,
 )
 from saleval.metrics_fixation import (
     _GRID,
@@ -517,6 +520,42 @@ def test_cc_of_an_affine_pair_is_clipped_to_one():
         up, down = cc(0.3 * g + 0.1, g), cc(1.0 - 0.7 * g, g)
         assert 1.0 - CC_ORACLE_TOL <= up <= 1.0
         assert -1.0 <= down <= -1.0 + CC_ORACLE_TOL
+
+
+def _cc_full_arrays(s, g):
+    """cc in its full-array form: both maps centred whole, each dot product row by row."""
+    sc = s - s.mean()
+    gc = g - g.mean()
+    denom = math.sqrt(float(np.vecdot(sc, sc).sum()) * float(np.vecdot(gc, gc).sum()))
+    return min(max(float(np.vecdot(sc, gc).sum()) / denom, -1.0), 1.0)
+
+
+# 700 columns make blocks of 35 rows, which divide none of 1, 37 and 512;
+# 30000 columns pass the block's size, so each block is one row
+@pytest.mark.parametrize("shape", [(1, 700), (37, 700), (512, 700), (3, 30000)])
+def test_cc_from_row_blocks_is_the_full_array_form_bit_for_bit(shape):
+    step = max(1, metrics_fixation._BLOCK_VALUES // shape[1])
+    assert step == 1 or shape[0] % step != 0  # the last block is a partial one
+    rng = np.random.default_rng(shape[0] * 31 + shape[1])
+    for power, scale in ((1, 1.0), (3, 1.0), (1, 1e6), (8, 1e-3)):
+        s = rng.random(shape) ** power * scale
+        g = rng.random(shape) ** (power + 1)
+        assert cc(s, g) == _cc_full_arrays(s, g)
+
+
+def test_cc_on_a_prepared_pair_allocates_less_than_one_map():
+    rng = np.random.default_rng(4)
+    s, g = prepare(rng.random((512, 768))), prepare(rng.random((512, 768)))
+    for p in (s, g):
+        p.peak, p.floor, p.std  # the statistics every metric shares, kept before cc runs
+    for _ in range(2):  # the first call also derives g's sum of squares
+        tracemalloc.start()
+        try:
+            cc(s, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < s.values.nbytes
 
 
 def _histogram_masses(m, bins):

@@ -1,7 +1,6 @@
 """Prepared maps: the same scores as plain arrays, and statistics that cannot go stale."""
 
 import pickle
-import weakref
 
 import numpy as np
 import pytest
@@ -194,28 +193,24 @@ def test_std_from_the_kept_mean_is_numpys_std_bit_for_bit(shape):
         assert p.std == float(p.values.std())
 
 
-def test_cc_centres_a_prepared_density_map_once_and_frees_it_with_the_map(monkeypatch):
+def test_cc_keeps_only_a_float_with_a_prepared_density_map_derived_once(monkeypatch):
     rng = np.random.default_rng(9)
     g = rng.random((12, 16))
     candidates = [rng.random((12, 16)) for _ in range(4)]
-    calls = []
-    kept = []  # one flag per kept centring, cleared when it is freed
+    squares = []  # one entry per sum of squares derived for a density map
 
-    def counted(m):
-        calls.append(m.size)
-        out = centred(m)
-        kept.append(True)
-        weakref.finalize(out[0], kept.__setitem__, len(kept) - 1, False)
-        return out
+    def counted(a, b):
+        if a is b:
+            squares.append(a.size)
+        return centred_dots(a, b)
 
-    centred = metrics_fixation._centred
-    monkeypatch.setattr(metrics_fixation, "_centred", counted)
+    centred_dots = metrics_fixation._centred_dots
+    monkeypatch.setattr(metrics_fixation, "_centred_dots", counted)
     pg = prepare(g)
     prepared_scores = [cc(s, pg) for s in candidates]
-    assert len(calls) == 1
-    # a raw g is prepared, and centred, afresh on every call, to the same bits
+    assert len(squares) == 1
+    assert type(pg._memo["cc"]) is float
+    assert not any(isinstance(v, np.ndarray) for v in pg._memo.values())
+    # a raw g is prepared, and its sum of squares derived, afresh on every call, to the same bits
     assert [cc(s, g) for s in candidates] == prepared_scores
-    assert len(calls) == 1 + len(candidates)
-    assert kept == [True, False, False, False, False]
-    del pg
-    assert kept == [False] * 5
+    assert len(squares) == 1 + len(candidates)

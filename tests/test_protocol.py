@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -118,6 +119,13 @@ def test_config_stores_the_sweep_the_search_runs():
     assert config.blur_sweep == (0.0, 1.0, 2.0)
     for sweep in (config.blur_sweep, EvalConfig(blur_sweep=np.array([1.0, 0.0])).blur_sweep):
         assert all(type(s) is float for s in sweep)
+
+
+def test_config_stores_a_negative_zero_level_as_zero():
+    for sweep in ((1, -0.0, 0), (-0.0, 1), (0, -0.0, 1)):
+        levels = EvalConfig(blur_sweep=sweep).blur_sweep
+        assert levels == (0.0, 1.0)
+        assert math.copysign(1.0, levels[0]) == 1.0
 
 
 def _tiny_setup(tmp_path, **kw):
@@ -250,6 +258,11 @@ def test_config_refuses_bad_numeric_knobs():
         ("bins", 1), ("bins", 2.5), ("bins", True), ("bins", 16.0),
         ("emd_saturation", 0), ("emd_saturation", 1.5), ("emd_saturation", False),
         ("trials", 0), ("trials", 2.5), ("trials", True),
+        # a str is not a sequence of names or sigmas, and a level must be a real number
+        ("epsilon", "1e-3"), ("epsilon", None),
+        ("blur_sweep", 0), ("blur_sweep", None), ("blur_sweep", "0,1"), ("blur_sweep", (0, None)),
+        ("blur_sweep", (0, True)),
+        ("metrics", 5), ("metrics", None), ("metrics", "cc"),
     ]
     for field, value in bad:
         with pytest.raises(ValueError, match=field):
