@@ -22,6 +22,8 @@ from ..io import read_fixations, write_fixations, write_pgm
 from ..maps import (
     FWHM_TO_SIGMA,
     FixationSet,
+    _integer,
+    _items,
     centered_gaussian_baseline,
     check_blur_sigma,
     density_from_fixations,
@@ -305,19 +307,23 @@ def synth_dataset(
     requested baseline model so the dataset is immediately evaluable.
     Regeneration with the same arguments is byte-identical.
     """
-    if num_images < 2:
-        raise ValueError("num_images must be >= 2")
+    num_images = _integer("num_images", num_images, 2)
+    seed = _integer("seed", seed, 0)
     if fixation_model not in FIXATION_MODELS:
         raise ValueError(f"unknown fixation_model: {fixation_model}")
+    models = _items("models", models)
     for name in models:
         if name not in BASELINE_MODELS:
             raise ValueError(f"unknown baseline model: {name}")
-    width, height = frame
+    frame = _items("frame", frame)
+    if len(frame) != 2:
+        raise ValueError(f"frame must be a (width, height) pair, not {frame!r}")
+    width = _integer("frame width", frame[0])
+    height = _integer("frame height", frame[1])
     # the fixation draw loops until it has points inside the frame
     if width < 1 or height < 1:
         raise ValueError(f"frame must be at least 1x1, not {width}x{height}")
-    if fixations_per_image < 1:
-        raise ValueError(f"fixations_per_image must be >= 1, not {fixations_per_image}")
+    fixations_per_image = _integer("fixations_per_image", fixations_per_image, 1)
     if stratify not in STRATIFY_MODES:
         raise ValueError(f"unknown stratify mode: {stratify}")
     _check_pixels_per_degree(pixels_per_degree)

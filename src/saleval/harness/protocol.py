@@ -25,6 +25,7 @@ from ..maps import (
     FixationSet,
     _frozen,
     _integer,
+    _items,
     _is_real,
     _nd_image,
     check_blur_sigma,
@@ -129,16 +130,6 @@ class EvalConfig:
         except ValueError as exc:
             raise ValueError(f"blur sweep {sweep}: {exc}") from None
         object.__setattr__(self, "blur_sweep", levels)
-
-
-def _items(name: str, value) -> tuple:
-    """value's items as a tuple; refused unless it is an iterable other than a str."""
-    if not isinstance(value, str):
-        try:
-            return tuple(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be a sequence, not {value!r}")
 
 
 @dataclass(frozen=True)

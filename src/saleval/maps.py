@@ -27,11 +27,11 @@ Loading that module alone took about 0.02 s, where importing the
 module is private to scipy; the signature used has been stable across
 releases, but was tested only with scipy 1.17.1. On maps of at least
 ``_BAND_MIN_PIXELS`` pixels, outside pool workers, the blur runs in row and
-column bands on the CPUs the process may use. Banding is exact: the loop
-gives each line the same arithmetic whatever other lines its array holds,
-so the bands write the bits one whole-array call would. The floor comes
-from a measured break-even: below it, starting and joining the band threads
-costs about what it saves.
+column bands, one band per CPU the process may use. Banding is exact: the
+loop gives each line the same arithmetic whatever other lines its array
+holds, so the bands write the bits one whole-array call would. The floor
+comes from a measured break-even: below it, starting and joining the band
+threads costs about what it saves.
 """
 
 from __future__ import annotations
@@ -72,6 +72,16 @@ def _integer(name: str, value, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
     return int(value)
+
+
+def _items(name: str, value) -> tuple:
+    """value's items as a tuple; refused unless it is an iterable other than a str."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a sequence, not {value!r}")
 
 
 def _is_real(value) -> bool:
@@ -321,8 +331,8 @@ def gaussian_blur(m, sigma: float) -> np.ndarray:
     ``(x[i-j] + x[i+j]) * w_j`` for j = r..1) is bit-identical but ran
     3-4x slower.
 
-    Maps of at least ``_BAND_MIN_PIXELS`` pixels are blurred in bands on the
-    CPUs this process may run on, unless it is a pool worker (see
+    Maps of at least ``_BAND_MIN_PIXELS`` pixels are blurred in bands, one
+    band per CPU this process may run on, unless it is a pool worker (see
     ``_in_bands``): the row pass as row bands, the column pass, the
     normalizer division and the peak clamp as column bands. The loop
     computes each line with the same arithmetic whatever other lines its
@@ -376,18 +386,15 @@ def gaussian_blur(m, sigma: float) -> np.ndarray:
 
 
 # Break-even, measured on a 2-core host (Python 3.11, scipy 1.17) with serial
-# and banded blurs interleaved over the sigmas 1-32. Starting and joining the
-# band threads costs about 0.5-1 ms per blur there; a form that started a
-# thread per pass lost 0.5-4 ms per blur at 128x96 and 192x144, and at
-# 256x192 this one lost up to 1.5 ms per blur for sigma <= 4 and saved 10%
-# of the sweep. It saved 19% of the sweep
-# at 384x256 and 32% at 768x512. The floor sits above 256x192, where the
-# saving is within run-to-run spread; smaller maps run as one band.
+# and banded blurs interleaved over the sigmas 1-32: starting and joining the
+# band threads costs about 0.5-1 ms per blur, so at 256x192 banding lost up to
+# 1.5 ms per blur for sigma <= 4 and saved 10% of the sweep, within run-to-run
+# spread; it saved 19% at 384x256 and 32% at 768x512. Smaller maps run as one
+# band. Banding pays end to end: on the same host, in 10 alternating pairs of
+# bench/run.py hires-baseline runs (768x512 maps), it scored 3.89 pairs/s
+# against 2.76 with every pass as one band, ahead in 10 of 10 pairs, at a
+# CPU/wall of 1.49 against 1.00.
 _BAND_MIN_PIXELS = 384 * 256
-# On the same host, shared with other virtual machines, the two threads of a
-# 768x512 pass took 0.54-2.02 times each other's time (10th-90th percentile);
-# smaller bands taken in turn let the faster thread take up the slack.
-_BANDS_PER_CPU = 4
 
 
 def _usable_cpus() -> int:
@@ -414,13 +421,13 @@ def _in_bands(passes, pixels: int) -> None:
     next starts. Below ``_BAND_MIN_PIXELS``, and in a process started by
     ``multiprocessing`` (a worker of ``evaluate_batch``'s pool, whose
     siblings already keep the CPUs busy), each pass is one band on the
-    calling thread. Otherwise a pass is cut into up to ``_BANDS_PER_CPU``
-    bands per CPU this process may run on, and the calling thread and one
-    thread per other CPU take bands in turn until none is left, so a thread
-    whose CPU is slow to run it leaves its share to the others. The threads
-    are started for this call, so no executor outlives it (or is inherited
-    by a forked pool worker). Every thread's result is read, so an
-    exception in any band propagates.
+    calling thread. Otherwise a pass is cut into one band per CPU this
+    process may run on (fewer if it has fewer lines): the first band runs
+    on the calling thread and the others on a pool of one thread per other
+    CPU. The threads are started for this call, so no executor outlives it
+    (or is inherited by a forked pool worker). Every band's result is read,
+    so an exception in any band propagates, and the threads are joined
+    before it does.
     """
     cpus = 1 if pixels < _BAND_MIN_PIXELS or _in_pool_worker() else _usable_cpus()
     if cpus == 1:
@@ -428,26 +435,15 @@ def _in_bands(passes, pixels: int) -> None:
             work(slice(0, lines))
         return
     # imported here, so that only a banded blur loads the thread machinery
-    import threading
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=cpus - 1) as pool:
         for work, lines in passes:
-            bands = min(lines, _BANDS_PER_CPU * cpus)
-            edges = [lines * i // bands for i in range(bands + 1)]
-            pending = iter([slice(lo, hi) for lo, hi in zip(edges, edges[1:])])
-            lock = threading.Lock()
-
-            def take_bands():
-                while True:
-                    with lock:
-                        band = next(pending, None)
-                    if band is None:
-                        return
-                    work(band)
-
-            futures = [pool.submit(take_bands) for _ in range(min(cpus, bands) - 1)]
-            take_bands()
+            count = min(lines, cpus)
+            edges = [lines * i // count for i in range(count + 1)]
+            bands = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+            futures = [pool.submit(work, band) for band in bands[1:]]
+            work(bands[0])
             for future in futures:
                 future.result()
 
@@ -467,17 +463,23 @@ def centered_gaussian_baseline(width: int, height: int, sigma_frac: float = 0.25
     frame dimension. The blob is the classic trivially-center-biased
     prediction used to stress-test metrics.
     """
-    if width < 1 or height < 1:
-        raise ValueError("dimensions must be >= 1")
-    if sigma_frac <= 0:
-        raise ValueError("sigma_frac must be > 0")
+    width = _integer("width", width, 1)
+    height = _integer("height", height, 1)
+    if not _is_real(sigma_frac) or not (math.isfinite(sigma_frac) and sigma_frac > 0):
+        raise ValueError(f"sigma_frac must be a finite number > 0, not {sigma_frac!r}")
     sigma = sigma_frac * min(width, height)
     cx = (width - 1) / 2.0
     cy = (height - 1) / 2.0
     y = np.arange(height, dtype=np.float64)[:, None]
     x = np.arange(width, dtype=np.float64)[None, :]
-    g = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * sigma * sigma))
-    return g / g.max()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * sigma * sigma))
+    peak = g.max()
+    # a sigma so small that its square, or the blob at every pixel, underflows
+    # to 0 leaves no peak to normalize by
+    if not peak > 0:
+        raise ValueError(f"sigma_frac {sigma_frac!r} is too small for a {width}x{height} frame")
+    return g / peak
 
 
 @dataclass(frozen=True)

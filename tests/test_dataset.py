@@ -109,6 +109,37 @@ def test_synth_refuses_no_fixations_or_an_unknown_stratify_before_writing(tmp_pa
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"num_images": 2.5}, "num_images"),
+        ({"num_images": True}, "num_images"),
+        ({"frame": (32.5, 24)}, "frame width"),
+        ({"frame": (32, "24")}, "frame height"),
+        ({"frame": (32, 24, 1)}, "frame"),
+        ({"frame": 32}, "frame"),
+        ({"fixations_per_image": 2.5}, "fixations_per_image"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"models": "gt_copy"}, "models"),  # was read per character
+        ({"models": 5}, "models"),
+    ],
+)
+def test_synth_refuses_malformed_library_inputs_before_writing(tmp_path, kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        synth_dataset(tmp_path / "x", **{"num_images": 2, "frame": (16, 12), **kwargs})
+    assert not (tmp_path / "x").exists()
+
+
+def test_synth_takes_numpy_integers_and_a_list_of_models(tmp_path):
+    path = synth_dataset(tmp_path / "a", num_images=np.int64(2), frame=(np.int32(16), 12),
+                         seed=np.uint8(5), fixations_per_image=np.int64(6), models=["gt_copy"])
+    synth_dataset(tmp_path / "b", num_images=2, frame=(16, 12), seed=5, fixations_per_image=6,
+                  models=("gt_copy",))
+    assert _file_bytes(tmp_path / "a") == _file_bytes(tmp_path / "b")
+    assert load_manifest(path).images[0].width == 16
+
+
 def test_manifest_rejects_out_of_frame_fixation(tmp_path):
     path = synth_dataset(tmp_path / "ds", num_images=2, frame=(16, 12), seed=5,
                          fixations_per_image=4)

@@ -310,6 +310,57 @@ def test_pool_worker_process_blurs_on_one_thread(monkeypatch):
     assert seen == [(slice(0, 512), threading.get_ident())]
 
 
+def test_a_pass_runs_as_one_band_per_cpu_each_on_its_own_thread(monkeypatch):
+    monkeypatch.setattr(maps, "_BAND_MIN_PIXELS", 1)
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: 3)
+    events = []  # (pass, band, "start" | "end", thread), in order
+    lock = threading.Lock()
+
+    def work_for(index, bands):
+        # every band of the pass waits for all the others: they must run at once
+        barrier = threading.Barrier(bands, timeout=10)
+
+        def work(band):
+            with lock:
+                events.append((index, band, "start", threading.get_ident()))
+            barrier.wait()
+            with lock:
+                events.append((index, band, "end", threading.get_ident()))
+
+        return work
+
+    lines = (30, 2, 1, 7)
+    bands = [min(n, 3) for n in lines]
+    maps._in_bands([(work_for(i, b), n) for i, (b, n) in enumerate(zip(bands, lines))], 1)
+    for index, (n, b) in enumerate(zip(lines, bands)):
+        starts = [(band, t) for i, band, kind, t in events if i == index and kind == "start"]
+        got = sorted(band for band, _ in starts)
+        assert len(got) == b
+        assert [r for band in got for r in range(band.start, band.stop)] == list(range(n))
+        assert len({t for _, t in starts}) == b  # one thread per band
+        assert (got[0], threading.get_ident()) in starts  # the first on the calling thread
+    # a pass starts only after every band of the one before has ended
+    passes = [index for index, *_ in events]
+    assert passes == sorted(passes)
+
+
+@pytest.mark.parametrize("failing", [0, 1])  # band 0 runs on the calling thread, band 1 in the pool
+def test_a_failing_band_propagates_and_leaves_no_band_thread(monkeypatch, failing):
+    monkeypatch.setattr(maps, "_BAND_MIN_PIXELS", 1)
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: 3)
+    started = []
+
+    def fail_one(band):
+        if band.start == [0, 10][failing]:  # the bands of 30 lines start at 0, 10 and 20
+            raise ArithmeticError(f"band {failing}")
+
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match=f"band {failing}"):
+        maps._in_bands(((fail_one, 30), (started.append, 30)), 1)
+    assert threading.active_count() == before
+    assert started == []  # the pass after the failure never started
+
+
 def test_concurrent_blurs_match_serial():
     # more calling threads than cores, each blurring banded maps of its own
     rng = np.random.default_rng(8)
@@ -358,6 +409,33 @@ def test_centered_gaussian_peak_and_symmetry():
 def test_centered_gaussian_rejects_bad_sigma():
     with pytest.raises(ValueError):
         centered_gaussian_baseline(10, 10, 0.0)
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((2.5, 3), "width"),  # was a 3x3 map
+        ((True, 3), "width"),  # was a 3x1 map
+        (("4", 3), "width"),  # was a TypeError
+        ((3, 0), "height"),
+        ((3, 3.0), "height"),
+        ((10, 10, float("nan")), "sigma_frac"),  # was an all-NaN map
+        ((10, 10, float("inf")), "sigma_frac"),
+        ((10, 10, -0.25), "sigma_frac"),
+        ((10, 10, True), "sigma_frac"),
+        ((10, 10, "0.25"), "sigma_frac"),
+        ((2, 2, 1e-3), "sigma_frac"),  # the blob underflows at every pixel: was all NaN
+        ((3, 3, 1e-200), "sigma_frac"),  # sigma squared underflows: was all NaN
+    ],
+)
+def test_centered_gaussian_refuses_malformed_inputs(args, field):
+    with pytest.raises(ValueError, match=field):
+        centered_gaussian_baseline(*args)
+
+
+def test_centered_gaussian_takes_numpy_numbers():
+    g = centered_gaussian_baseline(np.int64(7), np.int32(5), np.float64(0.25))
+    assert np.array_equal(g, centered_gaussian_baseline(7, 5, 0.25))
 
 
 def test_fixation_set_validates_frame():
