@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ManifestError
 from .harness import (
     ALL_METRICS,
     EvalConfig,
@@ -233,7 +232,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_validate(_args) -> int:
-    from .metrics_fixation import _sample_auc_rows, auc_pair_oracle
+    from .metrics_fixation import _GRID, _sample_auc_rows, auc_pair_oracle
     from .metrics_histogram import emd_brute_oracle, emd_hat, jsd
 
     rng = np.random.default_rng(20240501)
@@ -252,7 +251,7 @@ def _cmd_validate(_args) -> int:
 
     # the kernel sauc, auc_f and auc_s score with, on values at the grid's
     # own levels, where grid ties are the values' ties and both are exact
-    levels = np.linspace(1.0, 0.0, 256)
+    levels = _GRID[::-1]
     grid_rng = np.random.default_rng(20240502)
     worst = 0.0
     for _ in range(200):
@@ -308,7 +307,7 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ManifestError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         return _user_error(str(exc))
     except Exception as exc:  # pragma: no cover - internal failure path
         print(f"saleval: internal error: {exc}", file=sys.stderr)

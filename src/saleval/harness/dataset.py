@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,8 +21,10 @@ from ..io import read_fixations, write_fixations, write_pgm
 from ..maps import (
     FWHM_TO_SIGMA,
     FixationSet,
+    _frame,
     _integer,
     _items,
+    _positive,
     centered_gaussian_baseline,
     check_blur_sigma,
     density_from_fixations,
@@ -100,20 +101,17 @@ class DatasetManifest:
         return self.root / model.maps[image_id]
 
 
-def _check_pixels_per_degree(ppd) -> None:
-    """Refuse (ValueError) a pixels_per_degree that is not a finite number > 0.
+def _check_pixels_per_degree(ppd) -> float:
+    """ppd as a plain float; refused (ValueError) unless it is a finite number > 0.
 
     Also refuse one whose density-map blur gaussian_blur cannot build.
     """
-    # json.loads reads Infinity and NaN as floats, a bool is an int, and an
-    # integer above the largest float would overflow float()
-    number = isinstance(ppd, (int, float)) and not isinstance(ppd, bool)
-    if not (number and 0 < ppd <= sys.float_info.max):
-        raise ValueError(f"pixels_per_degree must be a finite number > 0, not {ppd!r}")
+    ppd = _positive("pixels_per_degree", ppd)
     try:
-        check_blur_sigma(float(ppd) * FWHM_TO_SIGMA)  # the density map's blur
+        check_blur_sigma(ppd * FWHM_TO_SIGMA)  # the density map's blur
     except ValueError as exc:
         raise ValueError(f"pixels_per_degree {ppd!r} is too large: {exc}") from None
+    return ppd
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -143,7 +141,7 @@ def load_manifest(path) -> DatasetManifest:
         raise ManifestError(f"{path}: manifest_version must be {MANIFEST_VERSION}")
     ppd = raw.get("pixels_per_degree")
     try:
-        _check_pixels_per_degree(ppd)
+        ppd = _check_pixels_per_degree(ppd)
     except ValueError as exc:
         raise ManifestError(f"{path}: {exc}") from None
     root = path.parent
@@ -204,7 +202,7 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(
         images=tuple(images),
         models=tuple(models),
-        pixels_per_degree=float(ppd),
+        pixels_per_degree=ppd,
         root=root,
         fixations=fixations,
     )
@@ -315,18 +313,12 @@ def synth_dataset(
     for name in models:
         if name not in BASELINE_MODELS:
             raise ValueError(f"unknown baseline model: {name}")
-    frame = _items("frame", frame)
-    if len(frame) != 2:
-        raise ValueError(f"frame must be a (width, height) pair, not {frame!r}")
-    width = _integer("frame width", frame[0])
-    height = _integer("frame height", frame[1])
     # the fixation draw loops until it has points inside the frame
-    if width < 1 or height < 1:
-        raise ValueError(f"frame must be at least 1x1, not {width}x{height}")
+    width, height = _frame("frame", frame)
     fixations_per_image = _integer("fixations_per_image", fixations_per_image, 1)
     if stratify not in STRATIFY_MODES:
         raise ValueError(f"unknown stratify mode: {stratify}")
-    _check_pixels_per_degree(pixels_per_degree)
+    pixels_per_degree = _check_pixels_per_degree(pixels_per_degree)
     out_dir = Path(out_dir)
     (out_dir / "fixations").mkdir(parents=True, exist_ok=True)
     (out_dir / "maps" / "gt").mkdir(parents=True, exist_ok=True)

@@ -28,6 +28,7 @@ from ..maps import (
     _items,
     _is_real,
     _nd_image,
+    _positive,
     check_blur_sigma,
     density_from_fixations,
     gaussian_blur,
@@ -36,7 +37,7 @@ from ..maps import (
     resize_map,
 )
 from ..metrics_fixation import auc_f, auc_s, cc, nss, sauc, sim, snss
-from ..metrics_histogram import _check_epsilon, _check_sign_mode, semd, sjsd, sskld
+from ..metrics_histogram import _check_sign_mode, semd, sjsd, sskld
 from ..shuffle import ShuffleBank, TrialPlan, build_shuffle_bank
 from .dataset import DatasetManifest, ImageEntry
 
@@ -109,7 +110,7 @@ class EvalConfig:
     def __post_init__(self):
         for name, least in (("trials", 1), ("bins", 2), ("emd_saturation", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
+        object.__setattr__(self, "epsilon", _positive("epsilon", self.epsilon))
         metrics = _items("metrics", self.metrics)
         for m in metrics:
             if m not in ALL_METRICS:

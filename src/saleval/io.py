@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .maps import FixationSet
+from .maps import FixationSet, _integer
 
 __all__ = ["read_pgm", "write_pgm", "read_fixations", "write_fixations"]
 
@@ -85,8 +85,9 @@ def write_pgm(path, m: np.ndarray, maxval: int = 65535) -> None:
         raise ValueError("map must be 2-D")
     if m.min() < 0 or m.max() > 1:
         raise ValueError("map values must lie in [0, 1]")
-    if isinstance(maxval, bool) or not isinstance(maxval, int) or not 0 < maxval < 65536:
-        raise ValueError(f"maxval must be an int in [1, 65535], not {maxval!r}")
+    maxval = _integer("maxval", maxval, 1)
+    if maxval > 65535:
+        raise ValueError(f"maxval must be at most 65535, not {maxval}")
     quant = np.rint(m * maxval).astype(">u2" if maxval > 255 else "u1")
     header = f"P5\n{m.shape[1]} {m.shape[0]}\n{maxval}\n".encode("ascii")
     tmp = f"{path}.tmp{os.getpid()}"

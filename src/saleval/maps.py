@@ -89,6 +89,28 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _positive(name: str, value) -> float:
+    """value as a plain float; refused unless it is a finite real number > 0 (not a bool)."""
+    try:
+        number = float(value) if _is_real(value) else math.nan
+    except OverflowError:  # an int past the largest float
+        number = math.inf
+    if math.isfinite(number) and number > 0:
+        return number
+    raise ValueError(f"{name} must be a finite number > 0, not {value!r}")
+
+
+def _frame(name: str, value) -> tuple[int, int]:
+    """value as a (width, height) pair of plain ints; refused unless both are integers >= 1."""
+    pair = _items(name, value)
+    if len(pair) != 2:
+        raise ValueError(f"{name} must be a (width, height) pair, not {pair!r}")
+    w, h = _integer(f"{name} width", pair[0]), _integer(f"{name} height", pair[1])
+    if w < 1 or h < 1:
+        raise ValueError(f"{name} must be at least 1x1, not {w}x{h}")
+    return w, h
+
+
 def as_map(values) -> np.ndarray:
     """Coerce to a valid 2-D float64 saliency map (finite, non-negative)."""
     m = np.asarray(values, dtype=np.float64)
@@ -265,9 +287,9 @@ MAX_BLUR_RADIUS = 2**16
 
 
 def check_blur_sigma(sigma: float) -> None:
-    """Refuse (ValueError) a sigma that is negative, not finite or wider than MAX_BLUR_RADIUS allows."""
-    if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite: {sigma}")
+    """Refuse (ValueError) a sigma that is a bool, not real, negative, not finite or past MAX_BLUR_RADIUS."""
+    if not _is_real(sigma) or not math.isfinite(sigma):
+        raise ValueError(f"sigma must be a finite real number, not {sigma!r}")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if 3.0 * sigma > MAX_BLUR_RADIUS:
@@ -465,8 +487,7 @@ def centered_gaussian_baseline(width: int, height: int, sigma_frac: float = 0.25
     """
     width = _integer("width", width, 1)
     height = _integer("height", height, 1)
-    if not _is_real(sigma_frac) or not (math.isfinite(sigma_frac) and sigma_frac > 0):
-        raise ValueError(f"sigma_frac must be a finite number > 0, not {sigma_frac!r}")
+    sigma_frac = _positive("sigma_frac", sigma_frac)
     sigma = sigma_frac * min(width, height)
     cx = (width - 1) / 2.0
     cy = (height - 1) / 2.0
@@ -486,8 +507,8 @@ def centered_gaussian_baseline(width: int, height: int, sigma_frac: float = 0.25
 class FixationSet:
     """Ground-truth fixation locations for one image.
 
-    points is an (N, 2) integer array of (x, y) pixel coordinates, all
-    inside frame = (width, height). The point set is unordered; N >= 1.
+    points is an unordered (N, 2) integer array of (x, y) pixels, N >= 1,
+    all inside frame = (width, height), a pair of plain ints >= 1.
     """
 
     image_id: str
@@ -498,13 +519,12 @@ class FixationSet:
         pts = np.asarray(self.points, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
             raise ValueError(f"{self.image_id}: fixations must be a non-empty (N, 2) array")
-        w, h = self.frame
-        if w < 1 or h < 1:
-            raise ValueError(f"{self.image_id}: frame must be at least 1x1")
+        w, h = _frame(f"{self.image_id}: frame", self.frame)
         if pts.min() < 0 or (pts[:, 0] >= w).any() or (pts[:, 1] >= h).any():
             raise ValueError(f"{self.image_id}: fixation outside {w}x{h} frame")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "frame", (w, h))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -517,8 +537,7 @@ def density_from_fixations(fixations: FixationSet, fwhm_px: float) -> np.ndarray
     placed on every fixation; sigma = fwhm_px * FWHM_TO_SIGMA. The result
     is deterministic and invariant to the order of the fixation points.
     """
-    if fwhm_px <= 0:
-        raise ValueError("fwhm_px must be > 0")
+    fwhm_px = _positive("fwhm_px", fwhm_px)
     w, h = fixations.frame
     impulses = np.zeros((h, w), dtype=np.float64)
     np.add.at(impulses, (fixations.points[:, 1], fixations.points[:, 0]), 1.0)

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .flow import min_cost_transport
-from .maps import FixationSet, _integer, _is_real
+from .maps import FixationSet, _integer, _positive
 from .metrics_fixation import MetricScore, _row_counts, _snss_rows, _trial_samples
 from .shuffle import ShuffleBank, TrialPlan, shuffled_draws
 
@@ -81,13 +81,6 @@ def _masses(p, q) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
     if p.size != q.size:
         raise ValueError("histograms must share the same binning")
     return p, q, *lists
-
-
-def _check_epsilon(epsilon: float) -> float:
-    """epsilon as a plain float; refused unless it is a finite number > 0 (not a bool)."""
-    if not _is_real(epsilon) or not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and > 0, not {epsilon!r}")
-    return float(epsilon)
 
 
 def _skld_rows(p: np.ndarray, q: np.ndarray, epsilon: float) -> np.ndarray:
@@ -213,7 +206,7 @@ def sskld(
     (default) or once from the trial-mean SNSS.
     """
     _check_sign_mode(sign_mode)
-    _check_epsilon(epsilon)
+    epsilon = _positive("epsilon", epsilon)
     pos, neg, (mu, sd) = _shuffled_samples(s, fix, bank, plan, "sskld", bins)
     snss_vals = _snss_rows(pos, neg, mu, sd)
     skld_vals = _skld_rows(_value_masses(pos, bins), _value_masses(neg, bins), epsilon)

@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .maps import FixationSet, _integer
+from .maps import FixationSet, _frame, _integer
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -113,7 +113,7 @@ class ShuffleBank:
     def __post_init__(self):
         if len(self.entries) < 2:
             raise ValueError("shuffle bank needs fixations from at least 2 images")
-        w, h = self.frame
+        w, h = _frame("shuffle bank frame", self.frame)
         for image_id, pts in self.entries.items():
             if pts.shape[0] == 0:
                 raise ValueError(f"{image_id}: empty fixation list in bank")
@@ -124,6 +124,7 @@ class ShuffleBank:
         points.setflags(write=False)
         counts = [len(self.entries[i]) for i in ids]
         starts = itertools.accumulate(counts, initial=0)
+        object.__setattr__(self, "frame", (w, h))
         object.__setattr__(self, "_points", points)
         object.__setattr__(self, "_spans", dict(zip(ids, zip(starts, counts))))
 
@@ -133,9 +134,7 @@ def build_shuffle_bank(dataset: Sequence[FixationSet], frame: tuple[int, int]) -
 
     Cross-frame coordinates map proportionally: x' = floor(x * W' / W).
     """
-    if len(dataset) < 2:
-        raise ValueError("shuffle bank needs at least 2 fixation sets")
-    bw, bh = frame
+    bw, bh = frame = _frame("shuffle bank frame", frame)
     entries: dict[str, np.ndarray] = {}
     for fs in dataset:
         if fs.image_id in entries:
@@ -147,13 +146,11 @@ def build_shuffle_bank(dataset: Sequence[FixationSet], frame: tuple[int, int]) -
         pts = np.array(pts, dtype=np.int64)
         pts.setflags(write=False)
         entries[fs.image_id] = pts
-    return ShuffleBank(entries=entries, frame=(bw, bh))
+    return ShuffleBank(entries=entries, frame=frame)
 
 
 def _nonfixated_points(seeds, w: int, h: int, fixated_xy: np.ndarray, n: int) -> np.ndarray:
     """One draw of n distinct non-fixated pixels per seed, as read-only (len(seeds), n, 2) points."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     total = w * h
     # the sorted distinct fixated pixels, as np.unique gives them without importing numpy.ma
     fixated = np.sort(fixated_xy[:, 1] * w + fixated_xy[:, 0])
@@ -241,7 +238,7 @@ def shuffled_draws(
     point j + (j >= start) * count; an image not in the bank has count 0
     and draws from the whole bank.
     """
-    if tuple(bank.frame) != tuple(fixations.frame):
+    if bank.frame != fixations.frame:
         raise ValueError(f"shuffle bank frame {bank.frame} is not the fixations' {fixations.frame}")
     start, count = bank._spans.get(fixations.image_id, (0, 0))
     seeds = _trial_seeds(fixations, metric_id, plan)

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 from saleval import maps
+from saleval.harness import EvalConfig, dataset, synth_dataset
+from saleval.io import write_pgm
 from saleval.maps import (
     FWHM_TO_SIGMA,
     FixationSet,
@@ -23,6 +26,8 @@ from saleval.maps import (
     resize_map,
     values_at,
 )
+from saleval.metrics_histogram import sskld
+from saleval.shuffle import ShuffleBank, TrialPlan, build_shuffle_bank
 
 
 def test_normalize_divides_by_max():
@@ -436,6 +441,110 @@ def test_centered_gaussian_refuses_malformed_inputs(args, field):
 def test_centered_gaussian_takes_numpy_numbers():
     g = centered_gaussian_baseline(np.int64(7), np.int32(5), np.float64(0.25))
     assert np.array_equal(g, centered_gaussian_baseline(7, 5, 0.25))
+
+
+_A = FixationSet("a", [[1, 1], [2, 0]], (4, 3))
+_B = FixationSet("b", [[3, 2]], (4, 3))
+
+
+def _synth(tmp_path, **kwargs):
+    synth_dataset(tmp_path / "x", **{"num_images": 2, "frame": (16, 12), **kwargs})
+
+
+# every public entry point that takes a (width, height) frame
+_FRAME_TAKERS = {
+    "FixationSet": lambda tmp_path, frame: FixationSet("x", [[0, 0]], frame),
+    "ShuffleBank": lambda tmp_path, frame: ShuffleBank({"a": _A.points, "b": _B.points}, frame),
+    "build_shuffle_bank": lambda tmp_path, frame: build_shuffle_bank([_A, _B], frame),
+    "synth_dataset": lambda tmp_path, frame: _synth(tmp_path, frame=frame),
+}
+
+
+@pytest.mark.parametrize("taker", list(_FRAME_TAKERS))
+@pytest.mark.parametrize(
+    "frame, message",
+    [
+        ((2.5, 3), "frame width must be an integer"),  # FixationSet failed later, the bank kept it
+        ((True, 3), "frame width must be an integer"),  # was accepted
+        (("4", 3), "frame width must be an integer"),  # was a TypeError
+        ((4, 3.0), "frame height must be an integer"),
+        ((4,), "frame must be a (width, height) pair"),  # was "not enough values to unpack"
+        ((4, 3, 1), "frame must be a (width, height) pair"),
+        (4, "frame must be a sequence"),  # was a TypeError
+        ("43", "frame must be a sequence"),
+        ((0, 3), "frame must be at least 1x1"),  # the bank named a fixation
+        ((4, -1), "frame must be at least 1x1"),
+    ],
+)
+def test_every_frame_taker_refuses_a_malformed_frame_naming_it(tmp_path, monkeypatch, taker, frame, message):
+    # the fixation draw never ends on an empty frame; fail fast if it is reached
+    monkeypatch.setattr(dataset, "_center_biased_points", lambda *a: pytest.fail("draw started"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _FRAME_TAKERS[taker](tmp_path, frame)
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_frame_of_numpy_integers_is_stored_as_plain_ints():
+    frame = (np.int64(4), np.int32(3))
+    fs = FixationSet("a", [[1, 1]], frame)
+    for stored in (fs.frame, ShuffleBank({"a": _A.points, "b": _B.points}, frame).frame,
+                   build_shuffle_bank([fs, _B], frame).frame):
+        assert stored == (4, 3) and all(type(side) is int for side in stored)
+
+
+def _sskld(epsilon):
+    m = np.arange(12.0).reshape(3, 4) / 11
+    return sskld(m, _A, build_shuffle_bank([_A, _B], (4, 3)), TrialPlan(2), epsilon=epsilon)
+
+
+# every public entry point that takes a finite number > 0
+_POSITIVE_TAKERS = {
+    "sskld epsilon": ("epsilon", lambda tmp_path, x: _sskld(x)),
+    "EvalConfig epsilon": ("epsilon", lambda tmp_path, x: EvalConfig(epsilon=x)),
+    "sigma_frac": ("sigma_frac", lambda tmp_path, x: centered_gaussian_baseline(8, 6, x)),
+    "fwhm_px": ("fwhm_px", lambda tmp_path, x: density_from_fixations(_A, x)),
+    "pixels_per_degree": ("pixels_per_degree", lambda tmp_path, x: _synth(tmp_path, pixels_per_degree=x)),
+}
+
+
+@pytest.mark.parametrize("taker", list(_POSITIVE_TAKERS))
+@pytest.mark.parametrize(
+    "value",
+    [True, "8", None, 0, -1.5, math.nan, math.inf, -math.inf, 10**400],
+    ids=["true", "str", "none", "zero", "negative", "nan", "inf", "-inf", "huge-int"],
+)
+def test_every_positive_number_taker_refuses_a_bad_number_naming_it(tmp_path, taker, value):
+    # fwhm_px took True, nan and inf failed only at the blur's sigma check, "8"
+    # and None were a TypeError, and 10**400 overflowed epsilon's and
+    # sigma_frac's math.isfinite
+    field, call = _POSITIVE_TAKERS[taker]
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        call(tmp_path, value)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("sigma", [True, "1", None, [1.0]])
+def test_blur_refuses_a_sigma_that_is_not_a_real_number(sigma):
+    with pytest.raises(ValueError, match="sigma must be a finite real number"):
+        gaussian_blur(np.eye(4), sigma)  # True blurred at sigma 1, "1" was a TypeError
+
+
+def test_positive_numbers_and_counts_take_numpy_numbers(tmp_path):
+    m = np.random.default_rng(4).random((6, 5))
+    assert np.array_equal(gaussian_blur(m, np.float32(2)), gaussian_blur(m, 2.0))
+    assert np.array_equal(density_from_fixations(_A, np.float32(3)), density_from_fixations(_A, 3.0))
+    assert _sskld(np.float64(1e-9)) == _sskld(1e-9)
+    config = EvalConfig(epsilon=np.float32(0.5))
+    assert config.epsilon == 0.5 and type(config.epsilon) is float
+    for maxval in (np.int64(255), 255):
+        write_pgm(tmp_path / f"{type(maxval).__name__}.pgm", m, maxval=maxval)
+    assert (tmp_path / "int64.pgm").read_bytes() == (tmp_path / "int.pgm").read_bytes()
+    # np.float32 was refused as "must be a finite number > 0"
+    for name, ppd in (("a", np.float32(4)), ("b", 4.0)):
+        synth_dataset(tmp_path / name, num_images=2, frame=(16, 12), pixels_per_degree=ppd)
+    a, b = ({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+            for root in (tmp_path / "a", tmp_path / "b"))
+    assert a == b
 
 
 def test_fixation_set_validates_frame():
